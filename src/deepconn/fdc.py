@@ -10,6 +10,7 @@ weight below 1 in H.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,6 @@ from .model import Edge, Instance, Path, edge_key, route_image
 from .simplex import PackingSimplex
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass
@@ -69,7 +69,7 @@ def _check_pair(instance: Instance, s: str, t: str) -> None:
 def overlay_weights(instance: Instance, y: dict[Edge, Fraction]) -> dict[Edge, Fraction]:
     """w(e) = total dual mass on the route implementing overlay edge e."""
     return {
-        e: sum((y.get(g, ZERO) for g in instance.route_support(*e)), ZERO)
+        e: sum((y.get(g, 0) for g in instance.route_support(*e)), 0)
         for e in instance.overlay_edges
     }
 
@@ -80,16 +80,21 @@ def separation_oracle(
     """Return an overlay (s,t)-path whose image costs < 1 under y, if any.
 
     The returned path is the lexicographically smallest among the
-    minimum-weight simple (s,t)-paths of the weighted overlay graph.
+    minimum-weight simple (s,t)-paths of the weighted overlay graph.  The
+    search runs on integers: y is scaled by the lcm of its denominators, so
+    "costs < 1" becomes "costs < scale".
     """
     _check_pair(instance, s, t)
     if any(v < 0 for v in y.values()):
         raise ValidationError("dual weights must be nonnegative")
-    w = overlay_weights(instance, y)
+    scale = math.lcm(*(v.denominator for v in y.values()))
+    w = overlay_weights(
+        instance, {e: v.numerator * (scale // v.denominator) for e, v in y.items()}
+    )
 
     # Dijkstra from t; dist[v] = cheapest (v,t) overlay distance.
-    dist: dict[str, Fraction] = {t: ZERO}
-    heap = [(ZERO, t)]
+    dist: dict[str, int] = {t: 0}
+    heap = [(0, t)]
     done = set()
     while heap:
         d, u = heapq.heappop(heap)
@@ -101,36 +106,36 @@ def separation_oracle(
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    if s not in dist or dist[s] >= 1:
+    if s not in dist or dist[s] >= scale:
         return None
 
     # Lexicographically smallest shortest simple path: DFS in neighbor order,
-    # pruning prefixes that cannot complete a minimum-weight path.
+    # pruning prefixes that cannot complete a minimum-weight path.  Each frame
+    # holds the weight spent to reach its peer and an iterator over that
+    # peer's neighbors not yet tried, so long paths need no recursion.
     target = dist[s]
-    stack = [s]
-    on_stack = {s}
-
-    def extend(u: str, spent: Fraction) -> Path | None:
-        if u == t:
-            return tuple(stack)
-        for v in instance.h_neighbors(u):
-            if v in on_stack or v not in dist:
+    path = [s]
+    on_path = {s}
+    frames = [(0, iter(instance.h_neighbors(s)))]
+    while frames:
+        u = path[-1]
+        spent, options = frames[-1]
+        for v in options:
+            if v in on_path or v not in dist:
                 continue
             nd = spent + w[edge_key(u, v)]
             if nd + dist[v] != target:
                 continue
-            stack.append(v)
-            on_stack.add(v)
-            found = extend(v, nd)
-            stack.pop()
-            on_stack.remove(v)
-            if found is not None:
-                return found
-        return None
-
-    path = extend(s, ZERO)
-    assert path is not None  # a shortest walk always shortcuts to a simple path
-    return path
+            path.append(v)
+            if v == t:
+                return tuple(path)
+            on_path.add(v)
+            frames.append((nd, iter(instance.h_neighbors(v))))
+            break
+        else:
+            frames.pop()
+            on_path.remove(path.pop())
+    raise AssertionError("a shortest walk always shortcuts to a simple path")
 
 
 def _bfs_overlay_path(instance: Instance, s: str, t: str) -> Path | None:

@@ -1,9 +1,16 @@
 """Exact-pivot simplex for packing LPs: max sum(x) s.t. A x <= 1, x >= 0.
 
-All arithmetic is over fractions.Fraction; Bland's rule guarantees
-termination on degenerate instances.  The dual vector is read off the
-optimal tableau from the slack columns, so the returned (x, y) pair
-satisfies strong duality exactly.
+The tableau is fraction-free: every entry and every reduced cost is a
+Python ``int`` numerator over one shared positive denominator ``d``, which
+starts at 1.  A pivot on element ``p`` maps each entry ``v`` of a non-pivot
+row to ``(v*p - f*w) // d``, where ``f`` is the row's entry in the pivot
+column and ``w`` the pivot row's entry in the same column, and then sets
+``d = p`` (the Edmonds/Bareiss integer-preserving pivot; the division is
+exact).  Only ``solution`` builds ``fractions.Fraction`` values.
+
+Bland's rule guarantees termination on degenerate instances.  The dual
+vector is read off the optimal tableau from the slack columns, so the
+returned (x, y) pair satisfies strong duality exactly.
 
 PackingSimplex supports adding columns to an already solved program: the
 old basis stays primal-feasible, so re-optimizing after a column arrives
@@ -15,44 +22,37 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 class PackingSimplex:
     """Incremental tableau for max sum(x) s.t. A x <= 1, x >= 0.
 
     Column layout: the ``n_rows`` slack columns come first, structural
     columns follow in insertion order, and the rightmost entry of each row
-    is the constraint value.  The slack block of the tableau is the basis
-    inverse, which is what lets new raw columns be reduced on arrival.
+    is the constraint value.  Entries are integers over the shared
+    denominator ``d``; the slack block holds ``d`` times the basis inverse,
+    which is what lets new raw columns be reduced on arrival.
     """
 
     def __init__(self, n_rows: int):
         self.n_rows = n_rows
         self.n_cols = 0
-        self.rows = [
-            [ONE if k == i else ZERO for k in range(n_rows)] + [ONE]
-            for i in range(n_rows)
-        ]
+        self.d = 1
+        self.rows = [[int(k == i) for k in range(n_rows)] + [1] for i in range(n_rows)]
         # Reduced costs per column plus the negated objective value.
-        self.cost = [ZERO] * (n_rows + 1)
+        self.cost = [0] * (n_rows + 1)
         self.basis = list(range(n_rows))
 
     def add_column(self, column: dict[int, int]) -> None:
         """Append a structural column with objective coefficient 1.
 
-        ``column`` maps row index -> nonnegative coefficient.
+        ``column`` maps row index -> nonnegative integer coefficient.
         """
-        for i in range(self.n_rows):
-            row = self.rows[i]
-            val = sum((row[k] * c for k, c in column.items() if c), ZERO)
-            row.insert(len(row) - 1, val)
-        # Reduced cost 1 - y . a, with y_k = -cost[slack_k].
-        reduced = ONE + sum(
-            (self.cost[k] * c for k, c in column.items() if c), ZERO
-        )
-        self.cost.insert(len(self.cost) - 1, reduced)
+        support = [(k, c) for k, c in column.items() if c]
+        for row in self.rows:
+            row.insert(-1, sum(row[k] * c for k, c in support))
+        # Reduced cost d * (1 - y . a), with y_k = -cost[slack_k] / d.
+        cost = self.cost
+        cost.insert(-1, self.d + sum(cost[k] * c for k, c in support))
         self.n_cols += 1
 
     def solve(self) -> None:
@@ -64,61 +64,49 @@ class PackingSimplex:
             if enter is None:
                 return
             # Bland: leaving variable of smallest index among tied min ratios.
+            # Ratios b_i / a_i share the denominator d, so compare the
+            # numerators crosswise: b_i / a_i < b_j / a_j iff b_i a_j < b_j a_i.
             leave_row = None
-            best_ratio = None
-            for i in range(self.n_rows):
-                a = rows[i][enter]
+            for i, row in enumerate(rows):
+                a = row[enter]
                 if a > 0:
-                    ratio = rows[i][-1] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave_row])
-                    ):
-                        best_ratio = ratio
-                        leave_row = i
+                    if leave_row is None:
+                        leave_row, best_a, best_b = i, a, row[-1]
+                        continue
+                    lhs, rhs = row[-1] * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave_row]):
+                        leave_row, best_a, best_b = i, a, row[-1]
             if leave_row is None:
                 raise ArithmeticError("packing LP unbounded; column has no support")
             self._pivot(leave_row, enter)
             basis[leave_row] = enter
 
     def solution(self):
-        """(value, x per structural column, y per row), all exact."""
-        x = [ZERO] * self.n_cols
+        """(value, x per structural column, y per row), all exact Fractions."""
+        d = self.d
+        x = [Fraction(0)] * self.n_cols
         for i, var in enumerate(self.basis):
             if var >= self.n_rows:
-                x[var - self.n_rows] = self.rows[i][-1]
-        y = [-self.cost[i] for i in range(self.n_rows)]
-        return -self.cost[-1], x, y
+                x[var - self.n_rows] = Fraction(self.rows[i][-1], d)
+        y = [Fraction(-self.cost[i], d) for i in range(self.n_rows)]
+        return Fraction(-self.cost[-1], d), x, y
 
     def _pivot(self, pr: int, pc: int) -> None:
-        rows, cost = self.rows, self.cost
-        piv = rows[pr][pc]
-        pivot_row = [v / piv for v in rows[pr]]
-        rows[pr] = pivot_row
-        support = [j for j, v in enumerate(pivot_row) if v]
-        for i in range(self.n_rows):
-            if i == pr:
-                continue
-            f = rows[i][pc]
-            if f:
-                row = rows[i]
-                for j in support:
-                    row[j] -= f * pivot_row[j]
-        f = cost[pc]
-        if f:
-            for j in support:
-                cost[j] -= f * pivot_row[j]
+        rows, d = self.rows, self.d
+        pivot_row = rows[pr]
+        p = pivot_row[pc]
+        for i, row in enumerate(rows):
+            if i != pr:
+                rows[i] = _eliminate(row, pivot_row, row[pc], p, d)
+        cost = self.cost
+        cost[:] = _eliminate(cost, pivot_row, cost[pc], p, d)
+        self.d = p
 
 
-def solve_packing_lp(columns: list[dict[int, int]], n_rows: int):
-    """One-shot convenience wrapper around PackingSimplex.
-
-    Returns (value, x, y) with x a list of Fractions per column and y a
-    list of Fractions per row; both exact optima of the primal/dual pair.
-    """
-    lp = PackingSimplex(n_rows)
-    for column in columns:
-        lp.add_column(column)
-    lp.solve()
-    return lp.solution()
+def _eliminate(row: list[int], pivot_row: list[int], f: int, p: int, d: int) -> list[int]:
+    """One fraction-free row update: (v*p - f*w) // d, entry by entry."""
+    if not f:
+        if p == d:
+            return row
+        return [v * p // d for v in row]
+    return [(v * p - f * w) // d for v, w in zip(row, pivot_row)]

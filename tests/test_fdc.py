@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,23 @@ def test_oracle_half_weights_tight(fig1):
         hops = [edge_key("S", mid[0]), edge_key(*mid), edge_key(mid[1], "T")]
         assert sum((w[h] for h in hops), Fraction(0)) == 1
     assert separation_oracle(fig1, "S", "T", y) is None
+
+
+def test_oracle_third_weights_violate(fig1):
+    # Same weighted edges at 1/3: each route costs 2/3 < 1, so a path comes back.
+    y = {
+        edge_key("M1", "M2"): Fraction(1, 3),
+        edge_key("D2", "D3"): Fraction(1, 3),
+        edge_key("U3", "U4"): Fraction(1, 3),
+    }
+    path = separation_oracle(fig1, "S", "T", y)
+    assert path is not None and path[0] == "S" and path[-1] == "T"
+
+
+def test_oracle_long_path_overlay_needs_no_recursion():
+    nodes = [f"p{i:05d}" for i in range(sys.getrecursionlimit() + 100)]
+    inst = fixtures.identity_instance(nodes, list(zip(nodes, nodes[1:])))
+    assert separation_oracle(inst, nodes[0], nodes[-1], {}) == tuple(nodes)
 
 
 def test_fdc_fig1(fig1):
