@@ -13,7 +13,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .fdc import FlowResult, fdc_all_pairs, fdc_pair, separation_oracle
+from .fdc import FlowResult, fdc_pair, separation_oracle
 from .gadgets import (
     GadgetOutput,
     SetSystem,
@@ -40,6 +40,7 @@ from .oracles import (
     all_pairs,
     classic_edge_connectivity,
     erdc_pair,
+    pair_parameter,
     pddc_pair,
     spddc_pair,
 )
@@ -50,7 +51,6 @@ from .sparsifier import (
     compute_kappa,
     delta,
     greedy_augment,
-    kappa_of,
     sparsify,
     sparsified_instance,
     special_case_construct,

@@ -10,11 +10,11 @@ emits a machine-readable report with stable field order.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 
-from . import fdc as fdc_mod
 from . import gadgets, oracles
 from . import sparsifier as sparsify_mod
 from .errors import (
@@ -24,8 +24,14 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .fdc import format_rational
-from .model import Instance, parse_instance, serialize_instance
+from .fdc import FlowResult, format_rational
+from .model import (
+    Instance,
+    build_instance,
+    parse_instance,
+    peer_pairs,
+    serialize_instance,
+)
 
 _ERROR_CODES = {
     FormatError: ("FORMAT", 2),
@@ -58,14 +64,16 @@ def main(argv=None) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by main."""
     parser = argparse.ArgumentParser(
         prog="deepconn",
         description="Deep-connectivity parameters of overlay networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def instance_cmd(name, help_text, pair=False, witness=False):
+    def instance_cmd(name, help_text, pair=False, witness=False, budget=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("-i", "--instance", required=True, help="instance document path")
         if pair:
@@ -74,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
             grp.add_argument("--all-pairs", action="store_true")
         if witness:
             p.add_argument("--witness", action="store_true")
-        p.add_argument("--budget", type=int, default=None)
+        if budget:
+            p.add_argument("--budget", type=int, default=None)
         p.add_argument("--json", action="store_true")
         p.add_argument("-o", "--output", default=None)
         return p
@@ -84,7 +93,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for name in ("fdc", "erdc", "pddc", "spddc"):
         instance_cmd(
-            name, f"compute the {name} parameter", pair=True, witness=True
+            name,
+            f"compute the {name} parameter",
+            pair=True,
+            witness=True,
+            budget=name != "fdc",
         ).set_defaults(handler=_cmd_parameter, parameter=name)
     instance_cmd("sparsify", "construct a sparse 2-survivable overlay").set_defaults(
         handler=_cmd_sparsify
@@ -92,9 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     instance_cmd(
         "special-case", "identity-routing 2n-2 construction"
     ).set_defaults(handler=_cmd_special_case)
-    instance_cmd(
-        "check", "run the cross-parameter invariant suite", witness=False
-    ).set_defaults(handler=_cmd_check)
+    instance_cmd("check", "run the cross-parameter invariant suite").set_defaults(
+        handler=_cmd_check
+    )
 
     gen = sub.add_parser("gen", help="generate instances")
     gsub = gen.add_subparsers(dest="generator", required=True)
@@ -176,57 +189,42 @@ def _cmd_parameter(args):
     instance = _load(args)
     name = args.parameter
     started = time.perf_counter()
-    kwargs = {}
-    if args.budget is not None and name != "fdc":
-        kwargs["budget"] = args.budget
+    budget = getattr(args, "budget", None)
+    kwargs = {} if budget is None else {"budget": budget}
     if args.pair:
         s, t = args.pair
-        if name == "fdc":
-            result = fdc_mod.fdc_pair(instance, s, t)
-            value, witness = result.value, _fdc_witness(result)
-        else:
-            value, cert = getattr(oracles, f"{name}_pair")(instance, s, t, **kwargs)
-            witness = _oracle_witness(cert)
-        report = {
-            "command": name,
-            "pair": [s, t],
-            "value": format_rational(value) if name == "fdc" else value,
-        }
+        value, cert = oracles.pair_parameter(instance, name, s, t, **kwargs)
+        report = {"command": name, "pair": [s, t], "value": value}
     else:
-        if name == "fdc":
-            value, pair, result = fdc_mod.fdc_all_pairs(instance)
-            witness = _fdc_witness(result)
-        else:
-            value, pair, cert = oracles.all_pairs(instance, name, **kwargs)
-            witness = _oracle_witness(cert)
+        value, pair, cert = oracles.all_pairs(instance, name, **kwargs)
         report = {
             "command": name,
             "all_pairs": True,
-            "value": format_rational(value) if name == "fdc" else value,
+            "value": value,
             "argmin_pair": list(pair),
         }
+    if name == "fdc":
+        report["value"] = format_rational(value)
     if args.witness:
-        report["witness"] = witness
+        report["witness"] = _witness(cert)
     report["status"] = "ok"
     if not args.json:
         report["elapsed_s"] = round(time.perf_counter() - started, 3)
     return report
 
 
-def _fdc_witness(result):
-    return {
-        "primal": {
-            " ".join(path): format_rational(flow)
-            for path, flow in sorted(result.primal.items())
-        },
-        "dual": {
-            f"{u},{v}": format_rational(w)
-            for (u, v), w in sorted(result.dual.items())
-        },
-    }
-
-
-def _oracle_witness(cert):
+def _witness(cert):
+    if isinstance(cert, FlowResult):
+        return {
+            "primal": {
+                " ".join(path): format_rational(flow)
+                for path, flow in sorted(cert.primal.items())
+            },
+            "dual": {
+                f"{u},{v}": format_rational(w)
+                for (u, v), w in sorted(cert.dual.items())
+            },
+        }
     if isinstance(cert, oracles.CutCertificate):
         return {"cut": [list(e) for e in sorted(cert.edges)]}
     return {"paths": [list(p) for p in cert.paths]}
@@ -252,8 +250,6 @@ def _cmd_special_case(args):
         raise PreconditionError("special case requires every node to be a peer")
     overlay = sparsify_mod.special_case_construct(instance.nodes, instance.edges)
     routes = {e: e for e in overlay}
-    from .model import build_instance
-
     result = build_instance(
         instance.nodes, instance.edges, instance.peers, overlay, routes
     )
@@ -269,27 +265,25 @@ def _cmd_special_case(args):
 
 def _cmd_check(args):
     instance = _load(args)
-    peers = sorted(instance.peers)
     rows = []
     ok = True
-    for i, s in enumerate(peers):
-        for t in peers[i + 1 :]:
-            erdc, _ = oracles.erdc_pair(instance, s, t)
-            pddc, _ = oracles.pddc_pair(instance, s, t)
-            spddc, _ = oracles.spddc_pair(instance, s, t)
-            flow = fdc_mod.fdc_pair(instance, s, t).value
-            holds = spddc <= pddc <= erdc and spddc <= flow <= erdc
-            ok = ok and holds
-            rows.append(
-                {
-                    "pair": [s, t],
-                    "erdc": erdc,
-                    "pddc": pddc,
-                    "spddc": spddc,
-                    "fdc": format_rational(flow),
-                    "inequalities": "ok" if holds else "VIOLATED",
-                }
-            )
+    for s, t in peer_pairs(instance):
+        erdc, pddc, spddc, flow = (
+            oracles.pair_parameter(instance, name, s, t)[0]
+            for name in ("erdc", "pddc", "spddc", "fdc")
+        )
+        holds = spddc <= pddc <= erdc and spddc <= flow <= erdc
+        ok = ok and holds
+        rows.append(
+            {
+                "pair": [s, t],
+                "erdc": erdc,
+                "pddc": pddc,
+                "spddc": spddc,
+                "fdc": format_rational(flow),
+                "inequalities": "ok" if holds else "VIOLATED",
+            }
+        )
     return {"command": "check", "pairs": rows, "status": "ok" if ok else "violated"}
 
 

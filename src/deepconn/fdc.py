@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .model import Edge, Instance, Path, edge_key, route_image
+from .model import Edge, Instance, Path, check_pair, edge_key, overlay_path, route_image
 from .simplex import PackingSimplex
 
 ZERO = Fraction(0)
@@ -59,13 +58,6 @@ class FlowResult:
             raise ValidationError("dual infeasible over the full path space")
 
 
-def _check_pair(instance: Instance, s: str, t: str) -> None:
-    if s not in instance.peers or t not in instance.peers:
-        raise ValidationError(f"{s} or {t} is not a peer")
-    if s == t:
-        raise ValidationError("endpoints must be distinct")
-
-
 def overlay_weights(instance: Instance, y: dict[Edge, Fraction]) -> dict[Edge, Fraction]:
     """w(e) = total dual mass on the route implementing overlay edge e."""
     return {
@@ -84,7 +76,7 @@ def separation_oracle(
     search runs on integers: y is scaled by the lcm of its denominators, so
     "costs < 1" becomes "costs < scale".
     """
-    _check_pair(instance, s, t)
+    check_pair(instance, s, t)
     if any(v < 0 for v in y.values()):
         raise ValidationError("dual weights must be nonnegative")
     scale = math.lcm(*(v.denominator for v in y.values()))
@@ -138,37 +130,16 @@ def separation_oracle(
     raise AssertionError("a shortest walk always shortcuts to a simple path")
 
 
-def _bfs_overlay_path(instance: Instance, s: str, t: str) -> Path | None:
-    prev: dict[str, str] = {s: s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        if u == t:
-            break
-        for v in instance.h_neighbors(u):
-            if v not in prev:
-                prev[v] = u
-                queue.append(v)
-    if t not in prev:
-        return None
-    path = [t]
-    while path[-1] != s:
-        path.append(prev[path[-1]])
-    return tuple(reversed(path))
-
-
 def fdc_pair(instance: Instance, s: str, t: str) -> FlowResult:
     """Exact flow value between two peers with primal/dual certificates."""
-    _check_pair(instance, s, t)
-    seed = _bfs_overlay_path(instance, s, t)
+    check_pair(instance, s, t)
+    seed = overlay_path(instance, s, t)
     if seed is None:
         return FlowResult(ZERO, {}, {}, [])
 
     # Fix the row set once so the program only ever grows by columns and the
     # solver can warm-start from the previous optimal basis.
-    row_edges = sorted(
-        {e for pair in instance.overlay_edges for e in instance.route_support(*pair)}
-    )
+    row_edges = list(instance.kill_sets)
     row_index = {e: i for i, e in enumerate(row_edges)}
     lp = PackingSimplex(len(row_edges))
 
@@ -187,23 +158,6 @@ def fdc_pair(instance: Instance, s: str, t: str) -> FlowResult:
         violated = separation_oracle(instance, s, t, y)
     primal = {p: x[j] for j, p in enumerate(generated) if x[j] != 0}
     return FlowResult(value, primal, y, generated)
-
-
-def fdc_all_pairs(instance: Instance) -> tuple[Fraction, tuple[str, str], FlowResult]:
-    """Minimum of fdc_pair over unordered peer pairs, with lexicographic argmin."""
-    best = None
-    for u, v in _sorted_pairs(instance.peers):
-        result = fdc_pair(instance, u, v)
-        if best is None or result.value < best[0]:
-            best = (result.value, (u, v), result)
-    return best
-
-
-def _sorted_pairs(peers):
-    ordered = sorted(peers)
-    for i, u in enumerate(ordered):
-        for v in ordered[i + 1 :]:
-            yield u, v
 
 
 def format_rational(q: Fraction) -> str:

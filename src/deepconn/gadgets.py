@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceededError, ValidationError
-from .model import Edge, Instance, build_instance, edge_key
+from .model import Edge, Instance, build_instance, connected, edge_key
 
 APEX_X = "apex_x"
 APEX_Y = "apex_y"
@@ -264,7 +264,7 @@ def random_instance(
         for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        if _connected(nodes, adj):
+        if connected(nodes, adj):
             break
     else:
         raise ValidationError(f"no connected graph within {retries} attempts")
@@ -282,18 +282,6 @@ def random_instance(
             else:
                 routes[pair] = _random_simple_path(adj, u, v, rng)
     return build_instance(nodes, edges, peers, overlay, routes)
-
-
-def _connected(nodes, adj) -> bool:
-    seen = {nodes[0]}
-    queue = deque([nodes[0]])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(nodes)
 
 
 def _lex_shortest_path(adj, s, t) -> tuple[str, ...]:

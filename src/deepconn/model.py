@@ -3,7 +3,10 @@
 An instance bundles an undirected simple connected graph G, a peer set P,
 a symmetric routing scheme rho (unordered peer pair -> simple path in G) and
 an overlay graph H on P.  Instances are immutable after validation and every
-operation here is a pure function.
+operation here is a pure function.  Because an instance never changes, its
+indexes (the sorted overlay adjacency, the G-edge support of each route and
+the kill set of each G-edge) are built once, on first use, and shared by
+every solver.
 """
 
 from __future__ import annotations
@@ -11,7 +14,11 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
+from types import MappingProxyType
 
 from .errors import BudgetExceededError, FormatError, ValidationError
 
@@ -19,7 +26,7 @@ from .errors import BudgetExceededError, FormatError, ValidationError
 Edge = tuple[str, str]
 Path = tuple[str, ...]
 
-NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
 DEFAULT_PATH_CAP = 100_000
 
@@ -33,29 +40,49 @@ def edge_key(u: str, v: str) -> Edge:
 class Instance:
     """A validated (G, P, rho, H) bundle.
 
-    ``routes`` maps the canonical unordered pair to the route path, oriented
-    so that it starts at the smaller endpoint.  ``total`` is True when every
-    unordered pair of distinct peers has a route.
+    ``routes`` is a read-only map from the canonical unordered pair to the
+    route path, oriented so that it starts at the smaller endpoint.
+    ``total`` is True when every unordered pair of distinct peers has a route.
     """
 
     nodes: tuple[str, ...]
     edges: frozenset[Edge]
     peers: tuple[str, ...]
     overlay_edges: frozenset[Edge]
-    routes: dict[Edge, Path]
+    routes: Mapping[Edge, Path]
     total: bool = field(default=False)
 
-    # -- adjacency helpers -------------------------------------------------
+    # -- indexes, built once on first use -----------------------------------
 
-    def g_neighbors(self, u: str) -> list[str]:
-        return sorted(v for v in self.nodes if edge_key(u, v) in self.edges)
+    @cached_property
+    def _h_adjacency(self) -> dict[str, tuple[str, ...]]:
+        adj: dict[str, list[str]] = {u: [] for u in self.peers}
+        for u, v in self.overlay_edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return {u: tuple(sorted(vs)) for u, vs in adj.items()}
 
-    def h_neighbors(self, u: str) -> list[str]:
-        out = []
-        for v in self.peers:
-            if v != u and edge_key(u, v) in self.overlay_edges:
-                out.append(v)
-        return sorted(out)
+    @cached_property
+    def _supports(self) -> dict[Edge, frozenset[Edge]]:
+        return {
+            pair: frozenset(edge_key(a, b) for a, b in zip(path, path[1:]))
+            for pair, path in self.routes.items()
+        }
+
+    @cached_property
+    def kill_sets(self) -> Mapping[Edge, frozenset[Edge]]:
+        """G-edge -> the overlay edges routed through it, in edge order.
+
+        Only G-edges on the route of some overlay edge appear.
+        """
+        kill: dict[Edge, set[Edge]] = {}
+        for f in self.overlay_edges:
+            for e in self._supports[f]:
+                kill.setdefault(e, set()).add(f)
+        return MappingProxyType({e: frozenset(kill[e]) for e in sorted(kill)})
+
+    def h_neighbors(self, u: str) -> tuple[str, ...]:
+        return self._h_adjacency.get(u, ())
 
     def route(self, u: str, v: str) -> Path:
         """Route oriented to start at u."""
@@ -66,22 +93,56 @@ class Instance:
         return path if path[0] == u else tuple(reversed(path))
 
     def route_support(self, u: str, v: str) -> frozenset[Edge]:
-        path = self.routes[edge_key(u, v)]
-        return frozenset(edge_key(a, b) for a, b in zip(path, path[1:]))
+        return self._supports[edge_key(u, v)]
 
 
-def _connected(nodes, adjacency) -> bool:
+def connected(nodes, adj) -> bool:
+    """True iff the graph with adjacency map adj is connected on nodes."""
     if not nodes:
         return True
     seen = {nodes[0]}
     queue = deque([nodes[0]])
     while queue:
         u = queue.popleft()
-        for v in adjacency(u):
+        for v in adj[u]:
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
     return len(seen) == len(nodes)
+
+
+def check_pair(instance: Instance, s: str, t: str) -> None:
+    """Raise ValidationError unless s and t are distinct peers."""
+    if s not in instance.peers or t not in instance.peers:
+        raise ValidationError(f"{s} or {t} is not a peer")
+    if s == t:
+        raise ValidationError("endpoints must be distinct")
+
+
+def peer_pairs(instance: Instance):
+    """Unordered peer pairs (u, v) with u < v, in lexicographic order."""
+    return combinations(sorted(instance.peers), 2)
+
+
+def overlay_path(instance: Instance, s: str, t: str, dead=frozenset()) -> Path | None:
+    """A fewest-hop overlay (s,t)-path avoiding the overlay edges in dead.
+
+    Breadth-first search in neighbor order; None when t is unreachable.
+    """
+    prev: dict[str, str] = {s: s}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        if u == t:
+            path = [t]
+            while path[-1] != s:
+                path.append(prev[path[-1]])
+            return tuple(reversed(path))
+        for v in instance.h_neighbors(u):
+            if v not in prev and edge_key(u, v) not in dead:
+                prev[v] = u
+                queue.append(v)
+    return None
 
 
 def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
@@ -92,10 +153,10 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
     invariant.
     """
     nodes = tuple(nodes)
-    node_set = set(nodes)
     for name in nodes:
-        if not NAME_RE.match(name):
+        if not isinstance(name, str) or not NAME_RE.fullmatch(name):
             raise ValidationError(f"invalid node name {name!r}")
+    node_set = set(nodes)
     if len(node_set) != len(nodes):
         raise ValidationError("duplicate node name")
 
@@ -115,7 +176,7 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
     for u, v in canon_edges:
         adj[u].append(v)
         adj[v].append(u)
-    if not _connected(list(nodes), lambda u: adj[u]):
+    if not connected(nodes, adj):
         raise ValidationError("underlying graph disconnected")
 
     peers = tuple(peers)
@@ -168,7 +229,7 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
         edges=canon_edges,
         peers=peers,
         overlay_edges=frozenset(canon_overlay),
-        routes=canon_routes,
+        routes=MappingProxyType(canon_routes),
         total=len(canon_routes) == n_peer_pairs,
     )
 
@@ -189,6 +250,8 @@ def parse_instance(text: str) -> Instance:
     for key in ("nodes", "edges", "peers", "overlay_edges", "routes"):
         if key not in doc:
             raise FormatError(f"missing key {key!r}")
+        if not isinstance(doc[key], list):
+            raise FormatError(f"{key!r} must be an array")
     try:
         routes = {}
         for entry in doc["routes"]:

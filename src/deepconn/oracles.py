@@ -12,15 +12,18 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceededError, ValidationError
+from .fdc import fdc_pair
 from .model import (
     DEFAULT_PATH_CAP,
     Edge,
     Instance,
     Path,
-    edge_key,
+    check_pair,
     enumerate_simple_paths,
     image_support,
     is_simple_concatenation,
+    overlay_path,
+    peer_pairs,
 )
 
 DEFAULT_CUT_BUDGET = 1 << 20
@@ -55,34 +58,9 @@ class PathPacking:
                     raise ValidationError("packing path is not simply implemented")
 
 
-def _check_pair(instance: Instance, s: str, t: str) -> None:
-    if s not in instance.peers or t not in instance.peers:
-        raise ValidationError(f"{s} or {t} is not a peer")
-    if s == t:
-        raise ValidationError("endpoints must be distinct")
-
-
-def _overlay_connected(instance: Instance, dead: set[Edge], s: str, t: str) -> bool:
-    """Is t reachable from s in H after deleting the overlay edges in dead?"""
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        if u == t:
-            return True
-        for v in instance.h_neighbors(u):
-            if v not in seen and edge_key(u, v) not in dead:
-                seen.add(v)
-                queue.append(v)
-    return False
-
-
 def _cut_disconnects(instance: Instance, cut, s: str, t: str) -> bool:
-    cut = set(cut)
-    dead = {
-        e for e in instance.overlay_edges if instance.route_support(*e) & cut
-    }
-    return not _overlay_connected(instance, dead, s, t)
+    dead = set().union(*(instance.kill_sets.get(e, ()) for e in cut))
+    return overlay_path(instance, s, t, dead) is None
 
 
 def erdc_pair(
@@ -93,23 +71,17 @@ def erdc_pair(
     Candidate edges are grouped by identical kill sets (the overlay edges
     routed through them) before enumerating subsets by increasing size.
     """
-    _check_pair(instance, s, t)
-    if not _overlay_connected(instance, set(), s, t):
+    check_pair(instance, s, t)
+    if overlay_path(instance, s, t) is None:
         return 0, CutCertificate(frozenset())
 
-    kill: dict[Edge, frozenset[Edge]] = {}
-    for f in instance.overlay_edges:
-        for e in instance.route_support(*f):
-            kill.setdefault(e, frozenset())
-    for e in kill:
-        kill[e] = frozenset(
-            f for f in instance.overlay_edges if e in instance.route_support(*f)
-        )
-    # One representative underlying edge per distinct kill set.
+    kill = instance.kill_sets
+    # One representative underlying edge per distinct kill set; kill_sets
+    # lists its edges in order, so the candidates come out sorted.
     reps: dict[frozenset[Edge], Edge] = {}
-    for e in sorted(kill):
-        reps.setdefault(kill[e], e)
-    candidates = sorted(reps.values())
+    for e, dies in kill.items():
+        reps.setdefault(dies, e)
+    candidates = list(reps.values())
 
     explored = 0
     for size in range(1, len(candidates) + 1):
@@ -119,10 +91,8 @@ def erdc_pair(
                 raise BudgetExceededError(
                     f"cut search exceeded budget of {budget} subsets"
                 )
-            dead = set()
-            for e in subset:
-                dead |= kill[e]
-            if not _overlay_connected(instance, dead, s, t):
+            dead = set().union(*(kill[e] for e in subset))
+            if overlay_path(instance, s, t, dead) is None:
                 return size, CutCertificate(frozenset(subset))
     raise AssertionError("removing every routed edge must disconnect the pair")
 
@@ -166,7 +136,7 @@ def pddc_pair(
     budget: int = DEFAULT_PACKING_BUDGET,
 ) -> tuple[int, PathPacking]:
     """Maximum number of overlay (s,t)-paths with pairwise disjoint images."""
-    _check_pair(instance, s, t)
+    check_pair(instance, s, t)
     paths = enumerate_simple_paths(instance, s, t, cap=path_cap)
     supports = [image_support(instance, p) for p in paths]
     chosen = _max_packing(supports, budget)
@@ -181,7 +151,7 @@ def spddc_pair(
     budget: int = DEFAULT_PACKING_BUDGET,
 ) -> tuple[int, PathPacking]:
     """As pddc_pair, restricted to paths whose concatenated walk is simple."""
-    _check_pair(instance, s, t)
+    check_pair(instance, s, t)
     paths = [
         p
         for p in enumerate_simple_paths(instance, s, t, cap=path_cap)
@@ -192,19 +162,30 @@ def spddc_pair(
     return len(chosen), PathPacking([paths[i] for i in chosen])
 
 
-_PAIR_OPS = {"erdc": erdc_pair, "pddc": pddc_pair, "spddc": spddc_pair}
+_PAIR_OPS = {
+    "fdc": fdc_pair,
+    "erdc": erdc_pair,
+    "pddc": pddc_pair,
+    "spddc": spddc_pair,
+}
+
+
+def pair_parameter(instance: Instance, which: str, s: str, t: str, **kwargs):
+    """(value, certificate) of one parameter for one pair.
+
+    The certificate of "fdc" is its FlowResult.
+    """
+    result = _PAIR_OPS[which](instance, s, t, **kwargs)
+    return (result.value, result) if which == "fdc" else result
 
 
 def all_pairs(instance: Instance, which: str, **kwargs):
     """Minimum over unordered peer pairs; lexicographically smallest argmin."""
-    op = _PAIR_OPS[which]
     best = None
-    ordered = sorted(instance.peers)
-    for i, u in enumerate(ordered):
-        for v in ordered[i + 1 :]:
-            value, witness = op(instance, u, v, **kwargs)
-            if best is None or value < best[0]:
-                best = (value, (u, v), witness)
+    for u, v in peer_pairs(instance):
+        value, witness = pair_parameter(instance, which, u, v, **kwargs)
+        if best is None or value < best[0]:
+            best = (value, (u, v), witness)
     return best
 
 

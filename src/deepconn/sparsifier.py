@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import BudgetExceededError, PreconditionError, ValidationError
-from .model import Edge, Instance, edge_key
+from .model import Edge, Instance, build_instance, edge_key, peer_pairs
 
 DEFAULT_AUGMENT_BUDGET = 200_000
 
@@ -46,13 +46,6 @@ def _require_total(instance: Instance) -> None:
         raise ValidationError("sparsifier requires a total routing scheme")
 
 
-def _peer_pairs(instance: Instance):
-    ordered = sorted(instance.peers)
-    for i, u in enumerate(ordered):
-        for v in ordered[i + 1 :]:
-            yield (u, v)
-
-
 def check_precondition(instance: Instance) -> tuple[bool, Edge | None]:
     """Feasibility of the 2-survivable target on the complete peer graph.
 
@@ -61,7 +54,7 @@ def check_precondition(instance: Instance) -> tuple[bool, Edge | None]:
     canonical order otherwise.
     """
     _require_total(instance)
-    pairs = list(_peer_pairs(instance))
+    pairs = list(peer_pairs(instance))
     supports = {p: instance.route_support(*p) for p in pairs}
     routed = set().union(*supports.values()) if supports else set()
     for e in sorted(instance.edges):
@@ -91,11 +84,14 @@ class AugmentationState:
     def kappa(self) -> int:
         return sum(self.kappa_i)
 
-    def snapshot_partitions(self) -> list[dict]:
-        return [dict(d.parent) for d in self.partitions]
 
-
-def _build_state(instance: Instance, overlay, tree) -> AugmentationState:
+def tracked_state(instance: Instance, overlay, tree) -> AugmentationState:
+    """State for an arbitrary overlay edge set (not necessarily containing
+    the tree); the tree argument only fixes the tracked underlying edges.
+    """
+    _require_total(instance)
+    overlay = {edge_key(*e) for e in overlay}
+    tree = frozenset(edge_key(*e) for e in tree)
     tracked = tuple(
         sorted(set().union(*(instance.route_support(*e) for e in tree)))
     )
@@ -110,8 +106,8 @@ def _build_state(instance: Instance, overlay, tree) -> AugmentationState:
         kappa_i.append(dsu.components - 1)
     return AugmentationState(
         instance=instance,
-        tree=frozenset(tree),
-        overlay=set(overlay),
+        tree=tree,
+        overlay=overlay,
         tracked=tracked,
         partitions=partitions,
         kappa_i=kappa_i,
@@ -126,22 +122,7 @@ def compute_kappa(instance: Instance, overlay, tree) -> AugmentationState:
     if not tree <= overlay:
         raise ValidationError("overlay must contain the base tree")
     _check_spanning_tree(instance, tree)
-    return _build_state(instance, overlay, tree)
-
-
-def tracked_state(instance: Instance, overlay, tree) -> AugmentationState:
-    """State for an arbitrary overlay edge set (not necessarily containing
-    the tree); the tree argument only fixes the tracked underlying edges.
-    """
-    _require_total(instance)
-    return _build_state(instance, {edge_key(*e) for e in overlay}, tree)
-
-
-def kappa_of(instance: Instance, overlay, tree) -> int:
-    """kappa for an arbitrary overlay edge set against a given tree's tracked edges."""
-    _require_total(instance)
-    state = _build_state(instance, {edge_key(*e) for e in overlay}, tree)
-    return state.kappa
+    return tracked_state(instance, overlay, tree)
 
 
 def _check_spanning_tree(instance: Instance, tree) -> None:
@@ -197,7 +178,7 @@ def greedy_augment(
             trace.append(state.kappa)
         best_edge = None
         best_gain = 0
-        for cand in _peer_pairs(instance):
+        for cand in peer_pairs(instance):
             if cand in state.overlay:
                 continue
             gain = delta(state, cand)
@@ -224,8 +205,6 @@ def sparsify(instance: Instance) -> frozenset[Edge]:
 
 def sparsified_instance(instance: Instance, overlay: frozenset[Edge]) -> Instance:
     """The input instance with its overlay replaced by a constructed edge set."""
-    from .model import build_instance
-
     return build_instance(
         instance.nodes, instance.edges, instance.peers, overlay, instance.routes
     )
@@ -242,7 +221,7 @@ def brute_force_augment(
             witness,
         )
     tree = frozenset(edge_key(*e) for e in tree)
-    candidates = [p for p in _peer_pairs(instance) if p not in tree]
+    candidates = [p for p in peer_pairs(instance) if p not in tree]
     explored = 0
     for size in range(len(candidates) + 1):
         for extra in combinations(candidates, size):
@@ -252,7 +231,7 @@ def brute_force_augment(
                     f"augmentation search exceeded budget of {budget} subsets"
                 )
             overlay = tree | set(extra)
-            if kappa_of(instance, overlay, tree) == 0:
+            if tracked_state(instance, overlay, tree).kappa == 0:
                 return frozenset(overlay)
     raise AssertionError("complete peer graph must be feasible under the precondition")
 

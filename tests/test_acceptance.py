@@ -35,7 +35,6 @@ from deepconn.sparsifier import (
     brute_force_augment,
     check_precondition,
     greedy_augment,
-    kappa_of,
     sparsified_instance,
     sparsify,
     special_case_construct,
@@ -177,7 +176,7 @@ def test_criterion_5_sparsifier():
         tree = star_tree(inst)
         trace = []
         overlay = greedy_augment(inst, tree, trace=trace)
-        if kappa_of(inst, overlay, tree) != 0:
+        if tracked_state(inst, overlay, tree).kappa != 0:
             failures.append(f"instance {idx}: kappa != 0")
         if any(a <= b for a, b in zip(trace, trace[1:])):
             failures.append(f"instance {idx}: kappa not strictly decreasing")
@@ -188,7 +187,7 @@ def test_criterion_5_sparsifier():
         except BudgetExceededError:
             continue
         bound_checked += 1
-        kappa_t = kappa_of(inst, tree, tree)
+        kappa_t = tracked_state(inst, tree, tree).kappa
         added_greedy = len(overlay) - len(tree)
         added_best = len(best) - len(tree)
         bound = (math.log(kappa_t) + 1) * added_best if added_best else 0

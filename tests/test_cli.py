@@ -3,7 +3,7 @@ import json
 import pytest
 
 from deepconn import fixtures
-from deepconn.cli import main
+from deepconn.cli import _build_parser, main
 from deepconn.model import parse_instance
 
 
@@ -282,3 +282,80 @@ def test_witness_reingest(fig1_path, capsys, tmp_path):
     cut = frozenset(tuple(e) for e in report["witness"]["cut"])
     cert = CutCertificate(edges=cut)
     cert.validate(fixtures.fig1(), "S", "T")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["fdc", "--pair", "S", "T"],
+        ["check"],
+        ["sparsify"],
+        ["special-case"],
+    ],
+)
+def test_budget_rejected_where_unused(fig1_path, capsys, argv):
+    code, _, err = run(capsys, *argv, "-i", fig1_path, "--budget", "1")
+    assert code == 2
+    assert "unrecognized arguments: --budget 1" in err
+
+
+def test_budget_honoured_by_search_verbs(fig1_path, capsys):
+    for verb in ("erdc", "pddc", "spddc"):
+        code, _, err = run(capsys, verb, "-i", fig1_path, "--all-pairs", "--budget", "1")
+        assert code == 1 and err.startswith("error BUDGET:")
+
+
+def test_parser_reused_across_verbs(fig1_path, capsys):
+    runs = [
+        ["validate", "-i", fig1_path, "--json"],
+        ["fdc", "-i", fig1_path, "--pair", "S", "T", "--witness", "--json"],
+        ["erdc", "-i", fig1_path, "--pair", "S", "T", "--budget", "50", "--json"],
+        ["fdc", "-i", fig1_path, "--all-pairs", "--budget", "50"],
+        ["pddc", "-i", fig1_path, "--all-pairs", "--witness", "--json"],
+        ["gen", "random", "--nodes", "6", "--peers", "3", "--json"],
+        ["spddc", "-i", fig1_path, "--pair", "S", "S", "--json"],
+        ["validate", "-i", fig1_path, "--json"],
+    ]
+    back_to_back = [run(capsys, *argv) for argv in runs]
+    assert _build_parser() is _build_parser()
+    fresh = []
+    for argv in runs:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert back_to_back == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 0, 2, 0]
+
+
+def _write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _relay_doc(relay):
+    """Peers a and b, joined through one relay node."""
+    return {
+        "nodes": ["a", "b", relay],
+        "edges": [["a", relay], [relay, "b"]],
+        "peers": ["a", "b"],
+        "overlay_edges": [["a", "b"]],
+        "routes": [{"pair": ["a", "b"], "path": ["a", relay, "b"]}],
+    }
+
+
+@pytest.mark.parametrize("name", ["r\n", 7, None, ["r"]])
+def test_invalid_node_name(tmp_path, capsys, name):
+    path = _write_doc(tmp_path, _relay_doc(name))
+    code, _, err = run(capsys, "validate", "-i", path)
+    assert code == 2
+    assert err == f"error VALIDATION: invalid node name {name!r}\n"
+
+
+@pytest.mark.parametrize("key", ["nodes", "edges", "peers", "overlay_edges", "routes"])
+@pytest.mark.parametrize("value", [None, "ab", {"a": "b"}, 3])
+def test_top_level_key_not_an_array(tmp_path, capsys, key, value):
+    path = _write_doc(tmp_path, {**_relay_doc("r"), key: value})
+    code, _, err = run(capsys, "validate", "-i", path)
+    assert code == 2
+    assert err == f"error FORMAT: {key!r} must be an array\n"

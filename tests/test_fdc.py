@@ -9,7 +9,6 @@ from conftest import disconnected_overlay_instance, random_connected_graph, subs
 from deepconn import fixtures
 from deepconn.errors import ValidationError
 from deepconn.fdc import (
-    fdc_all_pairs,
     fdc_pair,
     format_rational,
     overlay_weights,
@@ -17,7 +16,7 @@ from deepconn.fdc import (
 )
 from deepconn.gadgets import random_instance
 from deepconn.model import build_instance, edge_key, route_image
-from deepconn.oracles import classic_edge_connectivity
+from deepconn.oracles import all_pairs, classic_edge_connectivity
 
 
 def test_oracle_zero_weights_returns_violation(fig1):
@@ -79,18 +78,18 @@ def test_fdc_shared_edge(shared_edge):
 
 
 def test_fdc_all_pairs_triangle(triangle):
-    value, pair, _ = fdc_all_pairs(triangle)
+    value, pair, _ = all_pairs(triangle, "fdc")
     assert value == 2
 
 
 def test_fdc_all_pairs_k2(k2):
-    value, pair, _ = fdc_all_pairs(k2)
+    value, pair, _ = all_pairs(k2, "fdc")
     assert value == 1 and pair == ("a", "b")
 
 
 def test_fdc_disconnected_overlay():
     inst = disconnected_overlay_instance()
-    value, _, result = fdc_all_pairs(inst)
+    value, _, result = all_pairs(inst, "fdc")
     assert value == 0
     assert result.primal == {} and result.generated_paths == []
 

@@ -2,11 +2,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import disconnected_overlay_instance, random_connected_graph
+from conftest import disconnected_overlay_instance, random_connected_graph, subsample_overlay
 from deepconn import fixtures
 from deepconn.errors import BudgetExceededError, FormatError, ValidationError
-from deepconn.gadgets import random_instance
+from deepconn.gadgets import ROUTE_POLICIES, random_instance
 from deepconn.model import (
     build_instance,
     edge_key,
@@ -154,3 +156,35 @@ def test_overlay_edge_requires_route():
             overlay_edges=[("a", "b")],
             routes={},
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_nodes=st.integers(2, 9),
+    keep=st.floats(0.0, 1.0),
+    policy=st.sampled_from(ROUTE_POLICIES),
+)
+def test_indexes_match_their_definitions(seed, n_nodes, keep, policy):
+    rng = random.Random(seed)
+    full = random_instance(n_nodes, rng.randint(2, n_nodes), 0.5, policy, seed=seed)
+    inst = subsample_overlay(rng, full, keep)
+
+    def support(path):
+        return frozenset(edge_key(a, b) for a, b in zip(path, path[1:]))
+
+    for u in inst.nodes:
+        assert inst.h_neighbors(u) == tuple(
+            sorted(v for v in inst.peers if edge_key(u, v) in inst.overlay_edges)
+        )
+    for (u, v), path in inst.routes.items():
+        assert inst.route_support(u, v) == inst.route_support(v, u) == support(path)
+    kill = {
+        e: frozenset(f for f in inst.overlay_edges if e in support(inst.routes[f]))
+        for e in sorted(inst.edges)
+    }
+    assert list(inst.kill_sets.items()) == [(e, f) for e, f in kill.items() if f]
+    with pytest.raises(TypeError):
+        inst.routes[next(iter(inst.routes))] = ("x", "y")
+    with pytest.raises(TypeError):
+        inst.kill_sets[next(iter(inst.kill_sets))] = frozenset()

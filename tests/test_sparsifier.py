@@ -17,7 +17,6 @@ from deepconn.sparsifier import (
     compute_kappa,
     delta,
     greedy_augment,
-    kappa_of,
     sparsified_instance,
     sparsify,
     special_case_construct,
@@ -85,7 +84,7 @@ def test_kappa_zero_on_complete_overlay():
     inst = three_cycle()
     tree = [("a", "b"), ("b", "c")]
     full = [("a", "b"), ("b", "c"), ("a", "c")]
-    assert kappa_of(inst, full, tree) == 0
+    assert tracked_state(inst, full, tree).kappa == 0
 
 
 def test_kappa_zero_iff_survivable():
@@ -96,7 +95,7 @@ def test_kappa_zero_iff_survivable():
         for e in sorted(inst.overlay_edges):
             if e not in overlay and rng.random() < 0.4:
                 overlay.add(e)
-        kappa = kappa_of(inst, overlay, tree)
+        kappa = tracked_state(inst, overlay, tree).kappa
         erdc = all_pairs(sparsified_instance(inst, frozenset(overlay)), "erdc")[0]
         assert (kappa == 0) == (erdc >= 2)
 
@@ -134,7 +133,7 @@ def test_tree_kappa_always_positive():
     # so a bare spanning tree can never have kappa zero; greedy always adds.
     for inst in feasible_random_instances(5, max_peers=5, seed0=200):
         tree = star_tree(inst)
-        assert kappa_of(inst, tree, tree) > 0
+        assert tracked_state(inst, tree, tree).kappa > 0
         assert len(greedy_augment(inst, tree)) > len(tree)
 
 
@@ -152,7 +151,7 @@ def test_sparsify_outputs_survivable():
     assert len(result) == 3
     for inst in feasible_random_instances(5, max_peers=7, seed0=60):
         overlay = sparsify(inst)
-        assert kappa_of(inst, overlay, star_tree(inst)) == 0
+        assert tracked_state(inst, overlay, star_tree(inst)).kappa == 0
         assert all_pairs(sparsified_instance(inst, overlay), "erdc")[0] >= 2
 
 
@@ -173,7 +172,7 @@ def test_greedy_ratio_bound():
         tree = star_tree(inst)
         greedy = greedy_augment(inst, tree)
         best = brute_force_augment(inst, tree)
-        kappa_t = kappa_of(inst, tree, tree)
+        kappa_t = tracked_state(inst, tree, tree).kappa
         added_greedy = len(greedy) - len(tree)
         added_best = len(best) - len(tree)
         if added_best == 0:
