@@ -145,6 +145,15 @@ def overlay_path(instance: Instance, s: str, t: str, dead=frozenset()) -> Path |
     return None
 
 
+def _name_set(names: tuple) -> set:
+    """The set of names; an unhashable one (a JSON array or object) is invalid."""
+    try:
+        return set(names)
+    except TypeError:
+        bad = next(x for x in names if not isinstance(x, str))
+        raise ValidationError(f"invalid node name {bad!r}") from None
+
+
 def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
     """Validate raw components and assemble an Instance.
 
@@ -164,6 +173,8 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
     for u, v in edges:
         if u == v:
             raise ValidationError(f"self-loop at {u}")
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise ValidationError(f"invalid node name in edge {[u, v]!r}")
         if u not in node_set or v not in node_set:
             raise ValidationError(f"edge ({u},{v}) references unknown node")
         key = edge_key(u, v)
@@ -180,7 +191,7 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
         raise ValidationError("underlying graph disconnected")
 
     peers = tuple(peers)
-    peer_set = set(peers)
+    peer_set = _name_set(peers)
     if len(peer_set) != len(peers):
         raise ValidationError("duplicate peer")
     if not peer_set <= node_set:
@@ -188,6 +199,7 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
     if len(peers) < 2:
         raise ValidationError("fewer than two peers")
 
+    arcs = canon_edges | {(v, u) for u, v in canon_edges}
     canon_routes: dict[Edge, Path] = {}
     for pair, path in routes.items():
         u, v = pair
@@ -195,17 +207,16 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
         path = tuple(path)
         if len(path) < 2:
             raise ValidationError(f"route for {key} shorter than one edge")
+        path_set = _name_set(path)
         if {path[0], path[-1]} != {u, v}:
             raise ValidationError(f"route for {key} does not connect its endpoints")
         if u not in peer_set or v not in peer_set:
             raise ValidationError(f"route endpoints {key} are not peers")
-        if len(set(path)) != len(path):
+        if len(path_set) != len(path):
             raise ValidationError("route not vertex-simple")
-        for a, b in zip(path, path[1:]):
-            if edge_key(a, b) not in canon_edges:
-                raise ValidationError(
-                    f"route for {key} uses non-edge ({a},{b})"
-                )
+        if not arcs.issuperset(zip(path, path[1:])):
+            a, b = next(h for h in zip(path, path[1:]) if h not in arcs)
+            raise ValidationError(f"route for {key} uses non-edge ({a},{b})")
         if key in canon_routes:
             raise ValidationError(f"duplicate route for pair {key}")
         canon_routes[key] = path if path[0] == key[0] else tuple(reversed(path))
@@ -214,6 +225,8 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
     for u, v in overlay_edges:
         if u == v:
             raise ValidationError(f"overlay self-loop at {u}")
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise ValidationError(f"invalid node name in overlay edge {[u, v]!r}")
         if u not in peer_set or v not in peer_set:
             raise ValidationError(f"overlay edge ({u},{v}) endpoint is not a peer")
         key = edge_key(u, v)
@@ -255,19 +268,28 @@ def parse_instance(text: str) -> Instance:
     try:
         routes = {}
         for entry in doc["routes"]:
-            pair = tuple(entry["pair"])
-            if len(pair) != 2:
-                raise FormatError(f"route pair {pair} is not a 2-array")
-            if edge_key(*pair) in routes:
-                raise ValidationError(f"duplicate route for pair {edge_key(*pair)}")
-            routes[edge_key(*pair)] = tuple(entry["path"])
-        edges = [tuple(e) for e in doc["edges"]]
-        overlay = [tuple(e) for e in doc["overlay_edges"]]
-        if any(len(e) != 2 for e in edges) or any(len(e) != 2 for e in overlay):
-            raise FormatError("edges must be 2-arrays")
+            pair, path = entry["pair"], entry["path"]
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise FormatError(f"route pair {pair!r} is not a 2-array")
+            if not isinstance(path, list):
+                raise FormatError(f"route path {path!r} is not an array")
+            key = edge_key(*pair)
+            if key in routes:
+                raise ValidationError(f"duplicate route for pair {key}")
+            routes[key] = tuple(path)
     except (TypeError, KeyError) as exc:
         raise FormatError(f"malformed document: {exc}") from exc
+    edges = _two_arrays(doc["edges"], "edges")
+    overlay = _two_arrays(doc["overlay_edges"], "overlay_edges")
     return build_instance(doc["nodes"], edges, doc["peers"], overlay, routes)
+
+
+def _two_arrays(items: list, key: str) -> list[tuple]:
+    """The 2-arrays of a JSON array as tuples; FormatError on any other item."""
+    pairs = [tuple(e) for e in items if isinstance(e, list) and len(e) == 2]
+    if len(pairs) != len(items):
+        raise FormatError(f"{key!r} must hold 2-arrays")
+    return pairs
 
 
 def serialize_instance(instance: Instance) -> str:

@@ -4,10 +4,24 @@ Implements the feasibility precondition, the per-tracked-edge component
 counting (kappa), the marginal-gain function (delta), the greedy submodular
 augmentation, a brute-force optimal augmenter for ratio tests, and the
 identity-routing special case that achieves at most 2n-2 overlay edges.
+
+The greedy is lazy (Minoux's accelerated greedy): every candidate pair is
+scored once, and each round re-scores only the top of a max-heap of stored
+gains until the re-scored top still beats the next stored gain.  This is
+exact because delta is antitone (adding overlay edges only merges
+components, so no gain grows): a stored gain bounds the current one from
+above.  Ties go to the first pair in ``peer_pairs`` order, as in a full
+rescan, so the overlay and the kappa trace are those of the full rescan.
+
+The precondition asks whether removing the pairs routed through one
+G-edge disconnects K_P.  K_P is (|P|-1)-edge-connected, so only G-edges
+that carry the routes of at least |P|-1 pairs are tested.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -51,15 +65,17 @@ def check_precondition(instance: Instance) -> tuple[bool, Edge | None]:
 
     ok iff no single underlying edge disconnects K_P once every peer pair
     routed through it is removed.  Returns the first violating edge in
-    canonical order otherwise.
+    canonical order otherwise.  Only G-edges with a route load of at least
+    |P|-1 pairs are tested; no other edge can disconnect K_P.
     """
     _require_total(instance)
     pairs = list(peer_pairs(instance))
     supports = {p: instance.route_support(*p) for p in pairs}
-    routed = set().union(*supports.values()) if supports else set()
-    for e in sorted(instance.edges):
-        if e not in routed:
-            continue
+    load = Counter()
+    for support in supports.values():
+        load.update(support)
+    need = len(instance.peers) - 1
+    for e in sorted(e for e, n in load.items() if n >= need):
         dsu = _DSU(instance.peers)
         for p in pairs:
             if e not in supports[p]:
@@ -165,7 +181,10 @@ def add_edge(state: AugmentationState, e: Edge) -> None:
 def greedy_augment(
     instance: Instance, tree, trace: list | None = None
 ) -> frozenset[Edge]:
-    """Add maximum-gain peer pairs to the tree until kappa reaches zero."""
+    """Add maximum-gain peer pairs to the tree until kappa reaches zero.
+
+    Ties go to the first pair in ``peer_pairs`` order.
+    """
     ok, witness = check_precondition(instance)
     if not ok:
         raise PreconditionError(
@@ -173,20 +192,30 @@ def greedy_augment(
             witness,
         )
     state = compute_kappa(instance, tree, tree)
+    # Lazy greedy (see the module docstring): stored gains only overestimate,
+    # so a re-scored top that still beats the next stored key is the best pair.
+    heap = []
+    for index, cand in enumerate(peer_pairs(instance)):
+        if cand not in state.overlay:
+            gain = delta(state, cand)
+            if gain > 0:
+                heap.append((-gain, index, cand))
+    heapq.heapify(heap)
     while state.kappa > 0:
         if trace is not None:
             trace.append(state.kappa)
-        best_edge = None
-        best_gain = 0
-        for cand in peer_pairs(instance):
-            if cand in state.overlay:
-                continue
+        while True:
+            if not heap:
+                raise AssertionError("no improving edge despite positive kappa")
+            _, index, cand = heapq.heappop(heap)
             gain = delta(state, cand)
-            if gain > best_gain:
-                best_gain, best_edge = gain, cand
-        if best_edge is None:
-            raise AssertionError("no improving edge despite positive kappa")
-        add_edge(state, best_edge)
+            if gain == 0:
+                continue
+            entry = (-gain, index, cand)
+            if not heap or entry < heap[0]:
+                break
+            heapq.heappush(heap, entry)
+        add_edge(state, cand)
     if trace is not None:
         trace.append(0)
     return frozenset(state.overlay)

@@ -359,3 +359,51 @@ def test_top_level_key_not_an_array(tmp_path, capsys, key, value):
     code, _, err = run(capsys, "validate", "-i", path)
     assert code == 2
     assert err == f"error FORMAT: {key!r} must be an array\n"
+
+
+@pytest.mark.parametrize(
+    "doc, bad",
+    [
+        ({**_relay_doc("r"), "peers": [["a"], "b"]}, "['a']"),
+        ({**_relay_doc("r"), "edges": [["a", ["r"]], ["r", "b"]]}, "in edge ['a', ['r']]"),
+        (
+            {**_relay_doc("r"), "routes": [{"pair": ["a", "b"], "path": ["a", ["r"], "b"]}]},
+            "['r']",
+        ),
+    ],
+)
+def test_unhashable_node_name(tmp_path, capsys, doc, bad):
+    code, _, err = run(capsys, "validate", "-i", _write_doc(tmp_path, doc))
+    assert code == 2
+    assert err == f"error VALIDATION: invalid node name {bad}\n"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {
+                "nodes": ["a", "b"],
+                "edges": ["ab"],
+                "peers": ["a", "b"],
+                "overlay_edges": ["ab"],
+                "routes": [{"pair": "ab", "path": "ab"}],
+            },
+            "route pair 'ab' is not a 2-array",
+        ),
+        ({**_relay_doc("r"), "edges": ["ar", "rb"]}, "'edges' must hold 2-arrays"),
+        ({**_relay_doc("r"), "overlay_edges": ["ab"]}, "'overlay_edges' must hold 2-arrays"),
+        (
+            {**_relay_doc("r"), "routes": [{"pair": "ab", "path": ["a", "r", "b"]}]},
+            "route pair 'ab' is not a 2-array",
+        ),
+        (
+            {**_relay_doc("r"), "routes": [{"pair": ["a", "b"], "path": "arb"}]},
+            "route path 'arb' is not an array",
+        ),
+    ],
+)
+def test_string_is_not_an_array(tmp_path, capsys, doc, message):
+    code, _, err = run(capsys, "validate", "-i", _write_doc(tmp_path, doc))
+    assert code == 2
+    assert err == f"error FORMAT: {message}\n"

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import disconnected_overlay_instance, random_connected_graph, subsample_overlay
 from deepconn import fixtures
-from deepconn.errors import BudgetExceededError, FormatError, ValidationError
+from deepconn.errors import BudgetExceededError, DeepConnError, FormatError, ValidationError
 from deepconn.gadgets import ROUTE_POLICIES, random_instance
 from deepconn.model import (
     build_instance,
@@ -188,3 +189,94 @@ def test_indexes_match_their_definitions(seed, n_nodes, keep, policy):
         inst.routes[next(iter(inst.routes))] = ("x", "y")
     with pytest.raises(TypeError):
         inst.kill_sets[next(iter(inst.kill_sets))] = frozenset()
+
+
+def _positions(value, path=()):
+    """Every position in a JSON value, as the key path that reaches it."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _positions(child, path + (key,))
+
+
+_FUZZ_DOCS = [
+    json.loads(serialize_instance(inst))
+    for inst in (
+        fixtures.fig1(),
+        fixtures.shared_edge(),
+        fixtures.k2(),
+        fixtures.triangle(),
+        random_instance(5, 3, 0.6, "random_simple", seed=3),
+    )
+]
+_FUZZ_POSITIONS = [list(_positions(doc)) for doc in _FUZZ_DOCS]
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.floats(),
+    st.text(alphabet="abSTU1_\n", max_size=3),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["pair", "path", "nodes"]), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+def _mutant(old, kind, new):
+    if kind == "wrap":
+        return [old]
+    if kind == "join" and isinstance(old, list):
+        return "".join(x for x in old if isinstance(x, str))
+    return new
+
+
+def _replace_at(value, path, mutate):
+    """value with the part at path replaced by mutate(part); unchanged if path is gone."""
+    if not path:
+        return mutate(value)
+    head, *rest = path
+    if isinstance(value, dict) and head in value or (
+        isinstance(value, list) and isinstance(head, int) and head < len(value)
+    ):
+        value[head] = _replace_at(value[head], rest, mutate)
+    return value
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), which=st.integers(0, len(_FUZZ_DOCS) - 1))
+def test_fuzzed_documents_raise_only_deepconn_errors(data, which):
+    doc = copy.deepcopy(_FUZZ_DOCS[which])
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(_FUZZ_POSITIONS[which]))
+        kind = data.draw(st.sampled_from(["replace", "wrap", "join"]))
+        new = data.draw(_JSON_VALUES)
+        doc = _replace_at(doc, path, lambda old: _mutant(old, kind, new))
+    try:
+        parse_instance(json.dumps(doc))
+    except DeepConnError:
+        return
+    assert _obeys_schema(doc)
+
+
+def _obeys_schema(doc):
+    """Names are strings; edges, pairs and paths are arrays of them."""
+
+    def names(value):
+        return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+    return (
+        names(doc["nodes"])
+        and names(doc["peers"])
+        and all(
+            names(e) and len(e) == 2 for key in ("edges", "overlay_edges") for e in doc[key]
+        )
+        and all(names(r["pair"]) and len(r["pair"]) == 2 and names(r["path"]) for r in doc["routes"])
+    )

@@ -8,7 +8,7 @@ from conftest import random_connected_graph
 from deepconn import fixtures
 from deepconn.errors import PreconditionError, ValidationError
 from deepconn.gadgets import random_instance
-from deepconn.model import build_instance, edge_key
+from deepconn.model import build_instance, edge_key, peer_pairs
 from deepconn.oracles import all_pairs
 from deepconn.sparsifier import (
     add_edge,
@@ -51,6 +51,81 @@ def feasible_random_instances(count, max_peers=8, seed0=0):
         if check_precondition(inst)[0]:
             found.append(inst)
     return found
+
+
+def cycle_instance(n):
+    """Every node of the n-cycle a peer, each pair routed along its shorter arc."""
+    nodes = [f"c{i}" for i in range(n)]
+    edges = [edge_key(nodes[i], nodes[(i + 1) % n]) for i in range(n)]
+    routes = {}
+    for i, j in itertools.combinations(range(n), 2):
+        arc = list(range(i, j + 1))
+        if 2 * (j - i) > n:
+            arc = [i] + list(range(i - 1, j - n - 1, -1))
+        routes[(nodes[i], nodes[j])] = tuple(nodes[k % n] for k in arc)
+    return build_instance(nodes, edges, nodes, edges, routes)
+
+
+def precondition_reference(instance):
+    """The union-find test on every routed G-edge, without the load cut."""
+    pairs = list(peer_pairs(instance))
+    routed = set().union(*(instance.route_support(*p) for p in pairs))
+    for e in sorted(routed):
+        kept = [p for p in pairs if e not in instance.route_support(*p)]
+        if not _still_connected(list(instance.peers), kept):
+            return False, e
+    return True, None
+
+
+def full_rescan_greedy(instance, tree):
+    """Greedy that re-scores every candidate each round: the overlay and the trace."""
+    state = tracked_state(instance, tree, tree)
+    trace = []
+    while state.kappa > 0:
+        trace.append(state.kappa)
+        gains = [(delta(state, c), c) for c in peer_pairs(instance) if c not in state.overlay]
+        gain, best = max(gains, key=lambda g: g[0])
+        assert gain > 0
+        add_edge(state, best)
+    return frozenset(state.overlay), trace + [0]
+
+
+def tie_heavy_instances():
+    """Instances with many equal gains: identity routing on K_n and on cycles."""
+    for n in (3, 4, 5, 6):
+        nodes = [f"k{i}" for i in range(n)]
+        yield fixtures.identity_instance(nodes, list(itertools.combinations(nodes, 2)))
+    for n in (4, 5, 6, 7, 8):
+        yield cycle_instance(n)
+
+
+def _path_tree(instance):
+    peers = sorted(instance.peers)
+    return frozenset(edge_key(u, v) for u, v in zip(peers, peers[1:]))
+
+
+def test_lazy_greedy_matches_full_rescan():
+    instances = [three_cycle(), *tie_heavy_instances()]
+    instances += feasible_random_instances(25, max_peers=9, seed0=300)
+    instances = [inst for inst in instances if check_precondition(inst)[0]]
+    assert len(instances) >= 30
+    for inst in instances:
+        for tree in (star_tree(inst), _path_tree(inst)):
+            trace = []
+            overlay = greedy_augment(inst, tree, trace=trace)
+            assert (overlay, trace) == full_rescan_greedy(inst, tree)
+
+
+def test_precondition_matches_all_edge_reference():
+    instances = [three_cycle(), path_instance(), fixtures.k2(), *tie_heavy_instances()]
+    for seed in range(60):
+        n = 3 + seed % 8
+        policy = ("shortest_path", "random_simple")[seed % 2]
+        instances.append(random_instance(n, 2 + seed % (n - 1), 0.35, policy, seed=seed))
+    results = [check_precondition(inst) for inst in instances]
+    assert results == [precondition_reference(inst) for inst in instances]
+    assert sum(ok for ok, _ in results) >= 10
+    assert sum(not ok for ok, _ in results) >= 10
 
 
 def test_precondition_three_cycle():
