@@ -19,6 +19,7 @@ from .model import (
     Instance,
     Path,
     check_pair,
+    edge_key,
     enumerate_simple_paths,
     image_support,
     is_simple_concatenation,
@@ -69,12 +70,20 @@ def erdc_pair(
     """Minimum number of G-edges whose removal disconnects s from t in H.
 
     Candidate edges are grouped by identical kill sets (the overlay edges
-    routed through them) before enumerating subsets by increasing size.
+    routed through them), and subsets of candidates are enumerated by
+    increasing size in lexicographic order, so the cut returned is the
+    lexicographically first minimum cut.
+
+    The search keeps a family of overlay (s,t)-paths, each candidate holding
+    an int mask of the family paths it kills.  A subset whose masks do not
+    cover the family leaves a known path alive and skips the BFS; a subset
+    that covers it but still leaves a path adds that path to the family (an
+    implicit hitting set).  The family is seeded greedily with paths of
+    pairwise disjoint images, so no cut is smaller than the seed and the
+    enumeration starts at its size.  ``budget`` counts every subset
+    enumerated from that size on, whether or not it reached the BFS.
     """
     check_pair(instance, s, t)
-    if overlay_path(instance, s, t) is None:
-        return 0, CutCertificate(frozenset())
-
     kill = instance.kill_sets
     # One representative underlying edge per distinct kill set; kill_sets
     # lists its edges in order, so the candidates come out sorted.
@@ -82,50 +91,129 @@ def erdc_pair(
     for e, dies in kill.items():
         reps.setdefault(dies, e)
     candidates = list(reps.values())
+    hitters: dict[Edge, list[int]] = {}
+    for c, e in enumerate(candidates):
+        for f in kill[e]:
+            hitters.setdefault(f, []).append(c)
+    masks = [0] * len(candidates)
+    family = 0  # one bit per known surviving path
+
+    def learn(path: Path) -> None:
+        nonlocal family
+        bit = family + 1
+        family |= bit
+        for u, v in zip(path, path[1:]):
+            for c in hitters[edge_key(u, v)]:
+                masks[c] |= bit
+
+    # Greedy seed: after each path, kill every overlay edge routed through
+    # its image, so the seed paths have pairwise disjoint images and every
+    # cut needs one G-edge per seed path.
+    dead: set[Edge] = set()
+    while (path := overlay_path(instance, s, t, dead)) is not None:
+        learn(path)
+        for u, v in zip(path, path[1:]):
+            for e in instance.route_support(u, v):
+                dead |= kill[e]
+    lower = family.bit_count()
+    if lower == 0:
+        return 0, CutCertificate(frozenset())
 
     explored = 0
-    for size in range(1, len(candidates) + 1):
-        for subset in combinations(candidates, size):
+    for size in range(lower, len(candidates) + 1):
+        for subset in combinations(range(len(candidates)), size):
             explored += 1
             if explored > budget:
                 raise BudgetExceededError(
                     f"cut search exceeded budget of {budget} subsets"
                 )
-            dead = set().union(*(kill[e] for e in subset))
-            if overlay_path(instance, s, t, dead) is None:
-                return size, CutCertificate(frozenset(subset))
+            hit = 0
+            for c in subset:
+                hit |= masks[c]
+            if hit != family:
+                continue
+            dead = set().union(*(kill[candidates[c]] for c in subset))
+            path = overlay_path(instance, s, t, dead)
+            if path is None:
+                return size, CutCertificate(frozenset(candidates[c] for c in subset))
+            learn(path)
     raise AssertionError("removing every routed edge must disconnect the pair")
 
 
 def _max_packing(
-    supports: list[frozenset[Edge]], budget: int
+    masks: list[int], s_edges: int, t_edges: int, budget: int
 ) -> list[int]:
-    """Exact maximum set packing by lexicographic branch and bound."""
-    best: list[int] = []
-    nodes = 0
+    """Exact maximum set packing by lexicographic branch and bound.
 
-    def search(idx: int, chosen: list[int], used: frozenset[Edge]) -> None:
-        nonlocal best, nodes
+    ``masks`` are int bitmasks of the sets; every set must meet both
+    ``s_edges`` and ``t_edges``.  An explicit-stack depth-first search tries
+    including each set before excluding it, and replaces its incumbent only
+    by a strictly larger packing, so it returns the lexicographically first
+    maximum packing as a list of indexes.  A node is pruned when even
+    ``min(sets left, free s-edges left, free t-edges left)`` more sets
+    cannot beat the incumbent: pairwise disjoint sets need distinct s-edges
+    and distinct t-edges.  ``budget`` counts the nodes of the pruned tree.
+    """
+    n = len(masks)
+    # The s-edges and t-edges that the sets from index i on still offer.
+    s_left = [0] * (n + 1)
+    t_left = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        s_left[i] = s_left[i + 1] | (masks[i] & s_edges)
+        t_left[i] = t_left[i + 1] | (masks[i] & t_edges)
+    best, best_size = 0, 0
+    nodes = 0
+    stack = [(0, 0, 0, 0)]  # (index, used elements, chosen sets, their count)
+    while stack:
+        idx, used, chosen, size = stack.pop()
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(
                 f"packing search exceeded budget of {budget} nodes"
             )
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if idx == len(supports):
-            return
-        # Upper bound: everything remaining fits.
-        if len(chosen) + (len(supports) - idx) <= len(best):
-            return
-        if not (supports[idx] & used):
-            chosen.append(idx)
-            search(idx + 1, chosen, used | supports[idx])
-            chosen.pop()
-        search(idx + 1, chosen, used)
+        if size > best_size:
+            best, best_size = chosen, size
+        if idx == n:
+            continue
+        free = ~used
+        room = min(
+            n - idx, (s_left[idx] & free).bit_count(), (t_left[idx] & free).bit_count()
+        )
+        if size + room <= best_size:
+            continue
+        stack.append((idx + 1, used, chosen, size))
+        if not masks[idx] & used:
+            stack.append((idx + 1, used | masks[idx], chosen | 1 << idx, size + 1))
+    return [i for i in range(n) if best >> i & 1]
 
-    search(0, [], frozenset())
-    return best
+
+def _packing(
+    instance: Instance, s: str, t: str, paths: list[Path], budget: int
+) -> tuple[int, PathPacking]:
+    """Maximum packing of overlay paths with pairwise disjoint images.
+
+    Each image support is an int mask over G-edges, the union of the route
+    supports of the path's hops.
+    """
+    bits: dict[Edge, int] = {}
+    hops: dict[Edge, int] = {}
+    masks = []
+    for path in paths:
+        mask = 0
+        for u, v in zip(path, path[1:]):
+            key = edge_key(u, v)
+            hop = hops.get(key)
+            if hop is None:
+                hop = 0
+                for e in instance.route_support(u, v):
+                    hop |= bits.setdefault(e, 1 << len(bits))
+                hops[key] = hop
+            mask |= hop
+        masks.append(mask)
+    s_edges = sum(bit for e, bit in bits.items() if s in e)
+    t_edges = sum(bit for e, bit in bits.items() if t in e)
+    chosen = _max_packing(masks, s_edges, t_edges, budget)
+    return len(chosen), PathPacking([paths[i] for i in chosen])
 
 
 def pddc_pair(
@@ -138,9 +226,7 @@ def pddc_pair(
     """Maximum number of overlay (s,t)-paths with pairwise disjoint images."""
     check_pair(instance, s, t)
     paths = enumerate_simple_paths(instance, s, t, cap=path_cap)
-    supports = [image_support(instance, p) for p in paths]
-    chosen = _max_packing(supports, budget)
-    return len(chosen), PathPacking([paths[i] for i in chosen])
+    return _packing(instance, s, t, paths, budget)
 
 
 def spddc_pair(
@@ -157,9 +243,7 @@ def spddc_pair(
         for p in enumerate_simple_paths(instance, s, t, cap=path_cap)
         if is_simple_concatenation(instance, p)
     ]
-    supports = [image_support(instance, p) for p in paths]
-    chosen = _max_packing(supports, budget)
-    return len(chosen), PathPacking([paths[i] for i in chosen])
+    return _packing(instance, s, t, paths, budget)
 
 
 _PAIR_OPS = {

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .errors import BudgetExceededError, PreconditionError, ValidationError
-from .model import Edge, Instance, build_instance, edge_key, peer_pairs
+from .model import Edge, Instance, edge_key, peer_pairs
 
 DEFAULT_AUGMENT_BUDGET = 200_000
 
@@ -233,10 +233,17 @@ def sparsify(instance: Instance) -> frozenset[Edge]:
 
 
 def sparsified_instance(instance: Instance, overlay: frozenset[Edge]) -> Instance:
-    """The input instance with its overlay replaced by a constructed edge set."""
-    return build_instance(
-        instance.nodes, instance.edges, instance.peers, overlay, instance.routes
-    )
+    """The input instance with its overlay replaced by a constructed edge set.
+
+    Only the new overlay is checked: the rest was validated with the input.
+    The routed pairs are exactly the pairs of distinct peers that have a
+    route, so an edge that is not one of them is a ValidationError.
+    """
+    canon = frozenset(edge_key(u, v) for u, v in overlay)
+    unrouted = [e for e in canon if e not in instance.routes]
+    if unrouted:
+        raise ValidationError(f"overlay edge {min(unrouted)} has no route")
+    return replace(instance, overlay_edges=canon)
 
 
 def brute_force_augment(

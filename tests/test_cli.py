@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from deepconn import fixtures
 from deepconn.cli import _build_parser, main
 from deepconn.model import parse_instance
+from deepconn.oracles import CutCertificate, PathPacking
+
+EIGHT_PEERS = Path(__file__).parent / "data" / "eight_peers.json"
 
 
 @pytest.fixture()
@@ -66,6 +70,31 @@ def test_erdc_witness(fig1_path, capsys):
     report = json.loads(out)
     assert report["value"] == 2
     assert len(report["witness"]["cut"]) == 2
+
+
+@pytest.mark.parametrize("verb", ["erdc", "pddc", "spddc"])
+def test_eight_peer_pair(capsys, verb):
+    # 12 nodes, 8 peers, complete overlay, shortest-path routing: 1,957
+    # overlay paths between n01 and n11.  A recursive packing search
+    # overflowed the stack on pddc, and spddc ran out of its node budget.
+    code, out, err = run(
+        capsys, verb, "-i", str(EIGHT_PEERS), "--pair", "n01", "n11",
+        "--witness", "--json",
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["value"] == 5
+    instance = parse_instance(EIGHT_PEERS.read_text())
+    witness = report["witness"]
+    if verb == "erdc":
+        cut = CutCertificate(frozenset(tuple(e) for e in witness["cut"]))
+        assert len(cut.edges) == 5
+        cut.validate(instance, "n01", "n11")
+    else:
+        paths = [tuple(p) for p in witness["paths"]]
+        assert len(paths) == 5
+        assert all(p[0] == "n01" and p[-1] == "n11" for p in paths)
+        PathPacking(paths).validate(instance, simple_only=verb == "spddc")
 
 
 def test_all_pairs(fig1_path, capsys):

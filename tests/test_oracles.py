@@ -3,13 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import disconnected_overlay_instance, random_connected_graph
+from conftest import (
+    disconnected_overlay_instance,
+    random_connected_graph,
+    subsample_overlay,
+)
 from deepconn import fixtures
 from deepconn.errors import BudgetExceededError, ValidationError
 from deepconn.fdc import fdc_pair
-from deepconn.model import build_instance, edge_key
+from deepconn.gadgets import ROUTE_POLICIES, random_instance
+from deepconn.model import build_instance, edge_key, overlay_path, peer_pairs
 from deepconn.oracles import (
+    _max_packing,
     all_pairs,
     classic_edge_connectivity,
     erdc_pair,
@@ -135,3 +143,97 @@ def test_pair_validation(fig1):
         erdc_pair(fig1, "S", "S")
     with pytest.raises(ValidationError):
         pddc_pair(fig1, "S", "U2")  # U2 is not a peer
+
+
+# -- reference searches ------------------------------------------------------
+
+
+def erdc_reference(instance, s, t):
+    """Plain lexicographic enumeration over the routed G-edges, one BFS each."""
+    routed = sorted(
+        {e for f in instance.overlay_edges for e in instance.route_support(*f)}
+    )
+    for size in range(len(routed) + 1):
+        for subset in itertools.combinations(routed, size):
+            dead = {
+                f
+                for f in instance.overlay_edges
+                if instance.route_support(*f).intersection(subset)
+            }
+            if overlay_path(instance, s, t, dead) is None:
+                return size, frozenset(subset)
+    raise AssertionError("removing every routed edge must disconnect the pair")
+
+
+def max_packing_reference(supports):
+    """Recursive include-first branch and bound whose only bound is that
+    every remaining set fits; returns (index list, nodes visited)."""
+    best = []
+    nodes = 0
+
+    def search(idx, chosen, used):
+        nonlocal best, nodes
+        nodes += 1
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if idx == len(supports):
+            return
+        if len(chosen) + (len(supports) - idx) <= len(best):
+            return
+        if not (supports[idx] & used):
+            chosen.append(idx)
+            search(idx + 1, chosen, used | supports[idx])
+            chosen.pop()
+        search(idx + 1, chosen, used)
+
+    search(0, [], frozenset())
+    return best, nodes
+
+
+@st.composite
+def set_families(draw):
+    """Sets over range(m), each meeting both the s-elements and the t-elements."""
+    m = draw(st.integers(2, 10))
+    elements = st.integers(0, m - 1)
+    s_elems = draw(st.frozensets(elements, min_size=1))
+    t_elems = draw(st.frozensets(elements, min_size=1))
+    sets = []
+    for _ in range(draw(st.integers(0, 14))):
+        s_end = draw(st.sampled_from(sorted(s_elems)))
+        t_end = draw(st.sampled_from(sorted(t_elems)))
+        sets.append(draw(st.frozensets(elements)) | {s_end, t_end})
+    return sets, s_elems, t_elems
+
+
+def _mask(items):
+    return sum(1 << x for x in items)
+
+
+@settings(max_examples=400, deadline=None)
+@given(set_families())
+def test_max_packing_matches_reference(family):
+    sets, s_elems, t_elems = family
+    expected, nodes = max_packing_reference(sets)
+    masks = [_mask(x) for x in sets]
+    # The s/t bound only adds pruning: the same packing within the
+    # reference's node count.
+    assert _max_packing(masks, _mask(s_elems), _mask(t_elems), nodes) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_nodes=st.integers(3, 7),
+    density=st.sampled_from([0.5, 0.8]),
+    keep=st.floats(0.2, 1.0),
+    policy=st.sampled_from(ROUTE_POLICIES),
+)
+def test_erdc_matches_reference(seed, n_nodes, density, keep, policy):
+    rng = random.Random(seed)
+    n_peers = rng.randint(2, n_nodes)
+    full = random_instance(n_nodes, n_peers, density, policy, seed=seed)
+    inst = subsample_overlay(rng, full, keep)
+    for s, t in peer_pairs(inst):
+        value, cut = erdc_pair(inst, s, t)
+        assert (value, cut.edges) == erdc_reference(inst, s, t)
+

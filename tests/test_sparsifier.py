@@ -230,6 +230,23 @@ def test_sparsify_outputs_survivable():
         assert all_pairs(sparsified_instance(inst, overlay), "erdc")[0] >= 2
 
 
+def test_sparsified_instance_matches_full_rebuild(fig1):
+    for inst in [*feasible_random_instances(4, max_peers=6, seed0=90), fig1]:
+        overlay = frozenset(sorted(inst.routes)[::2])
+        result = sparsified_instance(inst, {(v, u) for u, v in overlay})
+        assert result == build_instance(
+            inst.nodes, inst.edges, inst.peers, overlay, inst.routes
+        )
+        for u in inst.peers:
+            assert result.h_neighbors(u) == tuple(
+                sorted(v for v in inst.peers if edge_key(u, v) in overlay)
+            )
+    unrouted = next(p for p in peer_pairs(fig1) if p not in fig1.routes)
+    for bad in (("S", "S"), ("S", "U2"), unrouted):
+        with pytest.raises(ValidationError, match="has no route"):
+            sparsified_instance(fig1, {bad})
+
+
 def test_sparsify_infeasible_raises():
     with pytest.raises(PreconditionError, match=r"violated at edge \(a,b\)"):
         sparsify(path_instance())
