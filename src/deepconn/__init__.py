@@ -21,7 +21,6 @@ from .gadgets import (
     build_spddc_reduction,
     encode_set_system,
     random_instance,
-    set_packing_brute_force,
 )
 from .model import (
     Instance,
@@ -46,7 +45,6 @@ from .oracles import (
 )
 from .sparsifier import (
     AugmentationState,
-    brute_force_augment,
     check_precondition,
     compute_kappa,
     delta,

@@ -155,20 +155,24 @@ def _load(args) -> Instance:
     try:
         with open(args.instance, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {args.instance}: {exc}") from exc
     return parse_instance(text)
 
 
 def _emit_instance(args, instance, labels=None) -> None:
-    text = serialize_instance(instance)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, serialize_instance(instance))
     if labels is not None and getattr(args, "labels", None):
-        with open(args.labels, "w", encoding="utf-8") as fh:
-            json.dump(labels, fh, indent=2)
-            fh.write("\n")
+        _write(args.labels, json.dumps(labels, indent=2) + "\n")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_validate(args):

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import ValidationError
 from .model import Edge, Instance, build_instance, connected, edge_key
 
 APEX_X = "apex_x"
@@ -55,25 +55,6 @@ class SetSystem:
 class GadgetOutput:
     instance: Instance
     labels: dict
-
-
-def set_packing_brute_force(system: SetSystem, k: int, budget: int = 1_000_000) -> bool:
-    """True iff k pairwise disjoint sets exist; exhaustive search."""
-    if k < 1:
-        raise ValidationError("k must be positive")
-    explored = 0
-    for combo in combinations(system.sets, k):
-        explored += 1
-        if explored > budget:
-            raise BudgetExceededError(f"set packing search exceeded {budget} subsets")
-        union = set()
-        total = 0
-        for s in combo:
-            union |= s
-            total += len(s)
-        if len(union) == total:
-            return True
-    return False
 
 
 def encode_set_system(h_nodes, h_edges, f, system: SetSystem) -> GadgetOutput:

@@ -293,18 +293,41 @@ def _two_arrays(items: list, key: str) -> list[tuple]:
 
 
 def serialize_instance(instance: Instance) -> str:
-    """Canonical JSON serialization; parse(serialize(x)) == x."""
-    doc = {
-        "nodes": list(instance.nodes),
-        "edges": [list(e) for e in sorted(instance.edges)],
-        "peers": list(instance.peers),
-        "overlay_edges": [list(e) for e in sorted(instance.overlay_edges)],
-        "routes": [
-            {"pair": list(pair), "path": list(instance.routes[pair])}
-            for pair in sorted(instance.routes)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical JSON serialization; parse(serialize(x)) == x.
+
+    The text is that of ``json.dumps(doc, indent=2)`` plus a newline, where
+    doc holds the nodes, the sorted edges, the peers, the sorted overlay
+    edges and the routes in pair order.  It is written directly, because an
+    indent sends ``json`` to its pure-Python encoder.  Validated names match
+    NAME_RE, so each one is quoted as it is.
+    """
+    names = _json_array("  ", '"')
+    items = _json_array("  ")
+    edge = _json_array("    ", '"')
+    hops = _json_array("      ", '"')
+    routes = [
+        '{\n      "pair": ' + hops(pair)
+        + ',\n      "path": ' + hops(instance.routes[pair]) + "\n    }"
+        for pair in sorted(instance.routes)
+    ]
+    return (
+        '{\n  "nodes": ' + names(instance.nodes)
+        + ',\n  "edges": ' + items([edge(e) for e in sorted(instance.edges)])
+        + ',\n  "peers": ' + names(instance.peers)
+        + ',\n  "overlay_edges": '
+        + items([edge(e) for e in sorted(instance.overlay_edges)])
+        + ',\n  "routes": ' + items(routes) + "\n}\n"
+    )
+
+
+def _json_array(pad: str, quote: str = ""):
+    """Writer of a JSON array laid out as ``json.dumps(..., indent=2)`` lays
+    it out with the closing bracket at indent pad; quote wraps each item.
+    """
+    head = "[\n" + pad + "  " + quote
+    sep = quote + ",\n" + pad + "  " + quote
+    tail = quote + "\n" + pad + "]"
+    return lambda items: head + sep.join(items) + tail if items else "[]"
 
 
 # -- route images ----------------------------------------------------------
@@ -361,22 +384,25 @@ def enumerate_simple_paths(
     out: list[Path] = []
     stack = [s]
     on_stack = {s}
-
-    def visit(u: str) -> None:
-        if u == t:
-            out.append(tuple(stack))
-            if len(out) > cap:
-                raise BudgetExceededError(
-                    f"more than {cap} simple paths between {s} and {t}"
-                )
-            return
-        for v in instance.h_neighbors(u):
-            if v not in on_stack:
-                stack.append(v)
-                on_stack.add(v)
-                visit(v)
-                stack.pop()
-                on_stack.remove(v)
-
-    visit(s)
+    # One neighbor iterator per vertex on the stack: the depth-first order
+    # of a recursive search, without its depth limit.
+    frontier = [iter(instance.h_neighbors(s))]
+    while frontier:
+        for v in frontier[-1]:
+            if v in on_stack:
+                continue
+            if v == t:
+                out.append((*stack, t))
+                if len(out) > cap:
+                    raise BudgetExceededError(
+                        f"more than {cap} simple paths between {s} and {t}"
+                    )
+                continue
+            stack.append(v)
+            on_stack.add(v)
+            frontier.append(iter(instance.h_neighbors(v)))
+            break
+        else:
+            frontier.pop()
+            on_stack.remove(stack.pop())
     return out

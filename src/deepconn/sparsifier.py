@@ -2,8 +2,19 @@
 
 Implements the feasibility precondition, the per-tracked-edge component
 counting (kappa), the marginal-gain function (delta), the greedy submodular
-augmentation, a brute-force optimal augmenter for ratio tests, and the
-identity-routing special case that achieves at most 2n-2 overlay edges.
+augmentation, and the identity-routing special case that achieves at most
+2n-2 overlay edges.
+
+Kappa sums, over the tracked G-edges (those on the base tree's routes),
+the number of components minus one of the peers joined by the overlay
+edges routed around that G-edge.  The state keeps one int per peer pair,
+its separation mask: bit i is set when the pair's endpoints lie in
+different components for tracked edge i and that edge is not on the
+pair's route.  Adding the pair merges exactly those components, so delta
+is the mask's popcount.  Adding an edge visits only its mask's bits: for
+each, it merges the smaller component's member list into the larger and
+clears the bit on every pair across the two, so the work over a whole run
+is bounded by the cross pairs of the starting partitions.
 
 The greedy is lazy (Minoux's accelerated greedy): every candidate pair is
 scored once, and each round re-scores only the top of a max-heap of stored
@@ -22,13 +33,11 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .errors import BudgetExceededError, PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .model import Edge, Instance, edge_key, peer_pairs
-
-DEFAULT_AUGMENT_BUDGET = 200_000
 
 
 class _DSU:
@@ -87,14 +96,22 @@ def check_precondition(instance: Instance) -> tuple[bool, Edge | None]:
 
 @dataclass
 class AugmentationState:
-    """Mutable greedy state: per-tracked-edge peer partitions and deficits."""
+    """Mutable greedy state: per-pair separation masks over the tracked edges.
+
+    Partition i groups the peers by the overlay edges whose routes avoid
+    ``tracked[i]``; ``components[i]`` maps each peer to the member list of
+    its component there.  Bit i of ``sep[p]`` is set when the peer pair p
+    joins two components of partition i, that is, when its endpoints are
+    in different components and ``tracked[i]`` is not on p's route.
+    """
 
     instance: Instance
     tree: frozenset[Edge]
     overlay: set[Edge]
     tracked: tuple[Edge, ...]
-    partitions: list[_DSU]
-    kappa_i: list[int] = field(default_factory=list)
+    sep: dict[Edge, int]
+    components: list[dict[str, list[str]]]
+    kappa_i: list[int]
 
     @property
     def kappa(self) -> int:
@@ -108,24 +125,56 @@ def tracked_state(instance: Instance, overlay, tree) -> AugmentationState:
     _require_total(instance)
     overlay = {edge_key(*e) for e in overlay}
     tree = frozenset(edge_key(*e) for e in tree)
-    tracked = tuple(
-        sorted(set().union(*(instance.route_support(*e) for e in tree)))
-    )
-    partitions = []
+    supports = {p: instance.route_support(*p) for p in peer_pairs(instance)}
+    tracked = tuple(sorted(set().union(*(supports[e] for e in tree))))
+    index = {e_i: i for i, e_i in enumerate(tracked)}
+    # on_route[p]: the tracked edges on p's route, as a bitmask.
+    on_route = {}
+    for p, support in supports.items():
+        mask = 0
+        for e in support:
+            if e in index:
+                mask |= 1 << index[e]
+        on_route[p] = mask
+    adjacency: dict[str, list[tuple[str, int]]] = {x: [] for x in instance.peers}
+    for u, v in overlay:
+        adjacency[u].append((v, on_route[(u, v)]))
+        adjacency[v].append((u, on_route[(u, v)]))
+    sep = dict.fromkeys(supports, 0)
+    components = []
     kappa_i = []
-    for e_i in tracked:
-        dsu = _DSU(instance.peers)
-        for f in overlay:
-            if e_i not in instance.route_support(*f):
-                dsu.union(*f)
-        partitions.append(dsu)
-        kappa_i.append(dsu.components - 1)
+    for i in range(len(tracked)):
+        # Breadth-first labelling over the overlay edges that avoid tracked[i];
+        # each group list is its own queue.
+        comp: dict[str, list[str]] = {}
+        groups = []
+        for x in instance.peers:
+            if x in comp:
+                continue
+            group = [x]
+            comp[x] = group
+            for y in group:
+                for z, mask in adjacency[y]:
+                    if z not in comp and not mask >> i & 1:
+                        comp[z] = group
+                        group.append(z)
+            groups.append(group)
+        bit = 1 << i
+        for a, b in combinations(groups, 2):
+            for x in a:
+                for y in b:
+                    sep[(x, y) if x < y else (y, x)] |= bit
+        components.append(comp)
+        kappa_i.append(len(groups) - 1)
+    for p, mask in on_route.items():
+        sep[p] &= ~mask
     return AugmentationState(
         instance=instance,
         tree=tree,
         overlay=overlay,
         tracked=tracked,
-        partitions=partitions,
+        sep=sep,
+        components=components,
         kappa_i=kappa_i,
     )
 
@@ -155,27 +204,40 @@ def _check_spanning_tree(instance: Instance, tree) -> None:
 
 
 def delta(state: AugmentationState, e: Edge) -> int:
-    """Drop in kappa from adding candidate overlay edge e; sum of 0/1 terms."""
+    """Drop in kappa from adding candidate overlay edge e: one per tracked
+    edge whose partition e would merge, the popcount of its separation mask.
+    """
     e = edge_key(*e)
     if e in state.overlay:
         raise ValidationError(f"candidate edge {e} already in the overlay")
-    support = state.instance.route_support(*e)
-    gain = 0
-    for e_i, dsu in zip(state.tracked, state.partitions):
-        if e_i in support:
-            continue
-        if dsu.find(e[0]) != dsu.find(e[1]):
-            gain += 1
-    return gain
+    return state.sep[e].bit_count()
 
 
 def add_edge(state: AugmentationState, e: Edge) -> None:
+    """Add overlay edge e, merging the two components it joins in each
+    partition where its mask has a bit; every cross pair loses that bit.
+    """
     e = edge_key(*e)
-    support = state.instance.route_support(*e)
+    u, v = e
+    sep = state.sep
+    bits = sep[e]
     state.overlay.add(e)
-    for idx, e_i in enumerate(state.tracked):
-        if e_i not in support and state.partitions[idx].union(*e):
-            state.kappa_i[idx] -= 1
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        i = low.bit_length() - 1
+        comp = state.components[i]
+        small, large = comp[u], comp[v]
+        if len(small) > len(large):
+            small, large = large, small
+        keep = ~low
+        for x in small:
+            for y in large:
+                sep[(x, y) if x < y else (y, x)] &= keep
+        for x in small:
+            comp[x] = large
+        large.extend(small)
+        state.kappa_i[i] -= 1
 
 
 def greedy_augment(
@@ -244,32 +306,6 @@ def sparsified_instance(instance: Instance, overlay: frozenset[Edge]) -> Instanc
     if unrouted:
         raise ValidationError(f"overlay edge {min(unrouted)} has no route")
     return replace(instance, overlay_edges=canon)
-
-
-def brute_force_augment(
-    instance: Instance, tree, budget: int = DEFAULT_AUGMENT_BUDGET
-) -> frozenset[Edge]:
-    """Minimum-cardinality superset of the tree with kappa zero; exhaustive."""
-    ok, witness = check_precondition(instance)
-    if not ok:
-        raise PreconditionError(
-            f"precondition ERDC(K_P) >= 2 violated at edge ({witness[0]},{witness[1]})",
-            witness,
-        )
-    tree = frozenset(edge_key(*e) for e in tree)
-    candidates = [p for p in peer_pairs(instance) if p not in tree]
-    explored = 0
-    for size in range(len(candidates) + 1):
-        for extra in combinations(candidates, size):
-            explored += 1
-            if explored > budget:
-                raise BudgetExceededError(
-                    f"augmentation search exceeded budget of {budget} subsets"
-                )
-            overlay = tree | set(extra)
-            if tracked_state(instance, overlay, tree).kappa == 0:
-                return frozenset(overlay)
-    raise AssertionError("complete peer graph must be feasible under the precondition")
 
 
 def special_case_construct(nodes, edges) -> frozenset[Edge]:

@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+from brute_force import brute_force_augment, set_packing_brute_force
 from conftest import random_connected_graph
 from deepconn import fixtures
 from deepconn.errors import BudgetExceededError
@@ -21,7 +22,6 @@ from deepconn.gadgets import (
     build_spddc_reduction,
     encode_set_system,
     random_instance,
-    set_packing_brute_force,
 )
 from deepconn.model import build_instance, edge_key
 from deepconn.oracles import (
@@ -32,7 +32,6 @@ from deepconn.oracles import (
     spddc_pair,
 )
 from deepconn.sparsifier import (
-    brute_force_augment,
     check_precondition,
     greedy_augment,
     sparsified_instance,

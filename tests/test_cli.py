@@ -5,7 +5,7 @@ import pytest
 
 from deepconn import fixtures
 from deepconn.cli import _build_parser, main
-from deepconn.model import parse_instance
+from deepconn.model import parse_instance, serialize_instance
 from deepconn.oracles import CutCertificate, PathPacking
 
 EIGHT_PEERS = Path(__file__).parent / "data" / "eight_peers.json"
@@ -143,6 +143,35 @@ def test_invalid_document(tmp_path, capsys):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "-i", "/nonexistent.json")
     assert code == 2 and "error FORMAT" in err
+
+
+def test_undecodable_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "validate", "-i", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error FORMAT: cannot read {path}:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sparsify", "-i", "@tri.json", "-o", "@missing/sparse.json"),
+        ("gen", "random", "--nodes", "5", "--peers", "3", "-o", "@missing/gen.json"),
+        (
+            "gen", "set-system", "--h-nodes", "x,y,z", "--h-edges", "x-y,y-z",
+            "--f", "x-y,y-z", "--m", "2", "--sets", "1;1,2",
+            "--labels", "@missing/labels.json",
+        ),
+    ],
+)
+def test_unwritable_output(tmp_path, capsys, argv):
+    (tmp_path / "tri.json").write_text(serialize_instance(fixtures.triangle()))
+    argv = [f"{tmp_path}/{a[1:]}" if a.startswith("@") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error FORMAT: cannot write {tmp_path}/missing/")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_usage_error(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from brute_force import set_packing_brute_force
 from deepconn.errors import BudgetExceededError, ValidationError
 from deepconn.gadgets import (
     SetSystem,
@@ -10,7 +11,6 @@ from deepconn.gadgets import (
     build_spddc_reduction,
     encode_set_system,
     random_instance,
-    set_packing_brute_force,
 )
 from deepconn.model import build_instance, edge_key
 from deepconn.oracles import all_pairs, erdc_pair, spddc_pair

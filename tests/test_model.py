@@ -1,6 +1,8 @@
 import copy
+import itertools
 import json
 import random
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -111,12 +113,101 @@ def test_enumerate_cap(triangle):
         enumerate_simple_paths(triangle, "a", "b", cap=1)
 
 
+def enumerate_reference(instance, s, t):
+    """The recursive search that enumerate_simple_paths replaced."""
+    out, stack = [], [s]
+
+    def visit(u):
+        if u == t:
+            out.append(tuple(stack))
+            return
+        for v in instance.h_neighbors(u):
+            if v not in stack:
+                stack.append(v)
+                visit(v)
+                stack.pop()
+
+    visit(s)
+    return out
+
+
+def test_enumerate_matches_recursive_reference():
+    rng = random.Random(11)
+    for seed in range(40):
+        n = 3 + seed % 6
+        policy = ROUTE_POLICIES[seed % 2]
+        full = random_instance(n, 2 + seed % (n - 1), 0.5, policy, seed=seed)
+        inst = subsample_overlay(rng, full, 0.7)
+        for s, t in itertools.permutations(inst.peers, 2):
+            assert enumerate_simple_paths(inst, s, t) == enumerate_reference(inst, s, t)
+
+
 def test_roundtrip(fig1, shared_edge, triangle):
     for inst in (fig1, shared_edge, triangle):
         assert parse_instance(serialize_instance(inst)) == inst
         assert serialize_instance(parse_instance(serialize_instance(inst))) == (
             serialize_instance(inst)
         )
+
+
+NAME_CHARS = string.ascii_letters + string.digits + "_"
+
+
+def serialize_reference(instance):
+    """The writer serialize_instance replaced: json's indent=2 encoder."""
+    doc = {
+        "nodes": list(instance.nodes),
+        "edges": [list(e) for e in sorted(instance.edges)],
+        "peers": list(instance.peers),
+        "overlay_edges": [list(e) for e in sorted(instance.overlay_edges)],
+        "routes": [
+            {"pair": list(pair), "path": list(instance.routes[pair])}
+            for pair in sorted(instance.routes)
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_nodes=st.integers(2, 8),
+    keep_route=st.floats(0.0, 1.0),
+    keep_overlay=st.floats(0.0, 1.0),
+    policy=st.sampled_from(ROUTE_POLICIES),
+    names=st.lists(
+        st.text(NAME_CHARS, min_size=1, max_size=6), min_size=8, max_size=8, unique=True
+    ),
+)
+def test_serialize_matches_json_encoder(
+    seed, n_nodes, keep_route, keep_overlay, policy, names
+):
+    rng = random.Random(seed)
+    full = random_instance(n_nodes, rng.randint(2, n_nodes), 0.5, policy, seed=seed)
+    rename = dict(zip(full.nodes, names))
+    routes = {
+        (rename[u], rename[v]): tuple(rename[x] for x in path)
+        for (u, v), path in full.routes.items()
+        if rng.random() < keep_route
+    }
+    overlay = [p for p in routes if rng.random() < keep_overlay]
+    inst = build_instance(
+        [rename[u] for u in full.nodes],
+        [(rename[u], rename[v]) for u, v in full.edges],
+        [rename[u] for u in full.peers],
+        overlay,
+        routes,
+    )
+    text = serialize_instance(inst)
+    assert text == serialize_reference(inst)
+    assert parse_instance(text) == inst
+
+
+def test_serialize_empty_lists():
+    inst = disconnected_overlay_instance()
+    assert not inst.overlay_edges and not inst.routes
+    assert serialize_instance(inst) == serialize_reference(inst)
+    assert '"overlay_edges": [],\n  "routes": []\n}\n' in serialize_instance(inst)
 
 
 def test_image_support_is_union_of_hops():

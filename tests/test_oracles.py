@@ -138,6 +138,13 @@ def test_packing_budget(triangle):
         pddc_pair(triangle, "a", "b", budget=1)
 
 
+def test_pddc_long_overlay_path():
+    # 1,100 hops: past the interpreter's default recursion limit.
+    nodes = [f"p{i:04d}" for i in range(1100)]
+    inst = fixtures.identity_instance(nodes, list(zip(nodes, nodes[1:])))
+    assert pddc_pair(inst, nodes[0], nodes[-1])[0] == 1
+
+
 def test_pair_validation(fig1):
     with pytest.raises(ValidationError):
         erdc_pair(fig1, "S", "S")

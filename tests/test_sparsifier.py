@@ -3,16 +3,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brute_force import brute_force_augment
 from conftest import random_connected_graph
 from deepconn import fixtures
 from deepconn.errors import PreconditionError, ValidationError
-from deepconn.gadgets import random_instance
+from deepconn.gadgets import ROUTE_POLICIES, random_instance
 from deepconn.model import build_instance, edge_key, peer_pairs
 from deepconn.oracles import all_pairs
 from deepconn.sparsifier import (
     add_edge,
-    brute_force_augment,
     check_precondition,
     compute_kappa,
     delta,
@@ -102,6 +104,75 @@ def tie_heavy_instances():
 def _path_tree(instance):
     peers = sorted(instance.peers)
     return frozenset(edge_key(u, v) for u, v in zip(peers, peers[1:]))
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def reference_partitions(instance, overlay, tracked):
+    """The per-tracked-edge union-find parent maps the state used to keep."""
+    partitions = []
+    for e_i in tracked:
+        parent = {x: x for x in instance.peers}
+        for f in overlay:
+            if e_i not in instance.route_support(*f):
+                parent[_find(parent, f[0])] = _find(parent, f[1])
+        partitions.append(parent)
+    return partitions
+
+
+def kappa_i_reference(instance, overlay, tracked):
+    return [
+        len({_find(parent, x) for x in instance.peers}) - 1
+        for parent in reference_partitions(instance, overlay, tracked)
+    ]
+
+
+def delta_reference(instance, overlay, tracked, e):
+    """The gain as the old loop computed it: one find pair per tracked edge."""
+    support = instance.route_support(*e)
+    return sum(
+        e_i not in support and _find(parent, e[0]) != _find(parent, e[1])
+        for e_i, parent in zip(tracked, reference_partitions(instance, overlay, tracked))
+    )
+
+
+def assert_state_matches_reference(state):
+    inst, overlay, tracked = state.instance, state.overlay, state.tracked
+    assert state.kappa_i == kappa_i_reference(inst, overlay, tracked)
+    assert state.kappa == sum(state.kappa_i)
+    for cand in peer_pairs(inst):
+        if cand not in overlay:
+            assert delta(state, cand) == delta_reference(inst, overlay, tracked, cand)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_nodes=st.integers(3, 10),
+    keep=st.floats(0.0, 0.7),
+    policy=st.sampled_from(ROUTE_POLICIES),
+    path_tree=st.booleans(),
+)
+def test_state_matches_union_find_reference(seed, n_nodes, keep, policy, path_tree):
+    rng = random.Random(seed)
+    inst = random_instance(n_nodes, rng.randint(3, n_nodes), 0.5, policy, seed=seed)
+    tree = _path_tree(inst) if path_tree else star_tree(inst)
+    pairs = list(peer_pairs(inst))
+    # An arbitrary start overlay, then nested ones: one edge added at a time.
+    state = tracked_state(inst, [p for p in pairs if rng.random() < keep], tree)
+    assert_state_matches_reference(state)
+    rest = [p for p in pairs if p not in state.overlay]
+    rng.shuffle(rest)
+    for cand in rest[: rng.randint(0, len(rest))]:
+        kappa, gain = state.kappa, delta(state, cand)
+        add_edge(state, (cand[1], cand[0]) if rng.random() < 0.5 else cand)
+        assert state.kappa == kappa - gain
+        assert_state_matches_reference(state)
+    assert state.kappa_i == tracked_state(inst, state.overlay, tree).kappa_i
 
 
 def test_lazy_greedy_matches_full_rescan():
