@@ -285,23 +285,21 @@ def _lex_shortest_path(adj, s, t) -> tuple[str, ...]:
 
 
 def _random_simple_path(adj, s, t, rng) -> tuple[str, ...]:
-    """Random simple path via randomized depth-first search."""
-    stack = [s]
-    on_stack = {s}
+    """Random simple path via randomized depth-first search.
 
-    def walk(u) -> bool:
-        if u == t:
-            return True
-        for v in rng.sample(adj[u], len(adj[u])):
-            if v not in on_stack:
-                stack.append(v)
-                on_stack.add(v)
-                if walk(v):
-                    return True
-                stack.pop()
-                on_stack.remove(v)
-        return False
-
-    if not walk(s):
-        raise AssertionError("connected graph must admit a path")
-    return tuple(stack)
+    The search keeps one neighbour order per path vertex on an explicit
+    stack, each drawn when its vertex is entered, as a recursive search
+    would draw it, so a seeded rng gives the same path.
+    """
+    path, on_path, orders = [s], {s}, []
+    while path[-1] != t:
+        u = path[-1]
+        orders.append(iter(rng.sample(adj[u], len(adj[u]))))
+        while (v := next((v for v in orders[-1] if v not in on_path), None)) is None:
+            orders.pop()
+            on_path.remove(path.pop())
+            if not orders:
+                raise AssertionError("connected graph must admit a path")
+        path.append(v)
+        on_path.add(v)
+    return tuple(path)

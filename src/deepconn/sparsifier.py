@@ -24,15 +24,19 @@ components, so no gain grows): a stored gain bounds the current one from
 above.  Ties go to the first pair in ``peer_pairs`` order, as in a full
 rescan, so the overlay and the kappa trace are those of the full rescan.
 
-The precondition asks whether removing the pairs routed through one
-G-edge disconnects K_P.  K_P is (|P|-1)-edge-connected, so only G-edges
-that carry the routes of at least |P|-1 pairs are tested.
+The kappa state is also the one feasibility test.  The precondition,
+ERDC(K_P) >= 2, fails at a G-edge when removing the pairs routed through
+it disconnects K_P.  Once no pair has a positive gain, partition i is
+exactly the components of K_P minus the pairs routed through tracked[i],
+so kappa_i > 0 there iff tracked[i] violates the precondition; an
+untracked G-edge never does, because the tree survives its failure.  The
+greedy raises PreconditionError at the first such edge when its heap runs
+empty, and check_precondition builds the state of K_P itself.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -69,31 +73,6 @@ def _require_total(instance: Instance) -> None:
         raise ValidationError("sparsifier requires a total routing scheme")
 
 
-def check_precondition(instance: Instance) -> tuple[bool, Edge | None]:
-    """Feasibility of the 2-survivable target on the complete peer graph.
-
-    ok iff no single underlying edge disconnects K_P once every peer pair
-    routed through it is removed.  Returns the first violating edge in
-    canonical order otherwise.  Only G-edges with a route load of at least
-    |P|-1 pairs are tested; no other edge can disconnect K_P.
-    """
-    _require_total(instance)
-    pairs = list(peer_pairs(instance))
-    supports = {p: instance.route_support(*p) for p in pairs}
-    load = Counter()
-    for support in supports.values():
-        load.update(support)
-    need = len(instance.peers) - 1
-    for e in sorted(e for e, n in load.items() if n >= need):
-        dsu = _DSU(instance.peers)
-        for p in pairs:
-            if e not in supports[p]:
-                dsu.union(*p)
-        if dsu.components > 1:
-            return False, e
-    return True, None
-
-
 @dataclass
 class AugmentationState:
     """Mutable greedy state: per-pair separation masks over the tracked edges.
@@ -126,6 +105,9 @@ def tracked_state(instance: Instance, overlay, tree) -> AugmentationState:
     overlay = {edge_key(*e) for e in overlay}
     tree = frozenset(edge_key(*e) for e in tree)
     supports = {p: instance.route_support(*p) for p in peer_pairs(instance)}
+    stray = (overlay | tree).difference(supports)
+    if stray:
+        raise ValidationError(f"edge {min(stray)} is not a pair of distinct peers")
     tracked = tuple(sorted(set().union(*(supports[e] for e in tree))))
     index = {e_i: i for i, e_i in enumerate(tracked)}
     # on_route[p]: the tracked edges on p's route, as a bitmask.
@@ -210,7 +192,10 @@ def delta(state: AugmentationState, e: Edge) -> int:
     e = edge_key(*e)
     if e in state.overlay:
         raise ValidationError(f"candidate edge {e} already in the overlay")
-    return state.sep[e].bit_count()
+    try:
+        return state.sep[e].bit_count()
+    except KeyError:
+        raise ValidationError(f"candidate edge {e} is not a pair of distinct peers") from None
 
 
 def add_edge(state: AugmentationState, e: Edge) -> None:
@@ -220,7 +205,10 @@ def add_edge(state: AugmentationState, e: Edge) -> None:
     e = edge_key(*e)
     u, v = e
     sep = state.sep
-    bits = sep[e]
+    try:
+        bits = sep[e]
+    except KeyError:
+        raise ValidationError(f"edge {e} is not a pair of distinct peers") from None
     state.overlay.add(e)
     while bits:
         low = bits & -bits
@@ -240,19 +228,34 @@ def add_edge(state: AugmentationState, e: Edge) -> None:
         state.kappa_i[i] -= 1
 
 
+def _first_violation(state: AugmentationState) -> Edge | None:
+    """The first tracked edge whose partition has more than one component."""
+    return next((e for e, k in zip(state.tracked, state.kappa_i) if k), None)
+
+
+def check_precondition(instance: Instance) -> tuple[bool, Edge | None]:
+    """Feasibility of the 2-survivable target on the complete peer graph.
+
+    ok iff no single underlying edge disconnects K_P once every peer pair
+    routed through it is removed: the kappa of K_P itself is zero.  Returns
+    the first violating edge in canonical order otherwise.
+    """
+    witness = _first_violation(
+        tracked_state(instance, peer_pairs(instance), star_tree(instance))
+    )
+    return witness is None, witness
+
+
 def greedy_augment(
     instance: Instance, tree, trace: list | None = None
 ) -> frozenset[Edge]:
     """Add maximum-gain peer pairs to the tree until kappa reaches zero.
 
-    Ties go to the first pair in ``peer_pairs`` order.
+    Ties go to the first pair in ``peer_pairs`` order.  If no pair gains
+    while kappa is positive, the precondition fails: PreconditionError names
+    the first violating edge, as ``check_precondition`` would, and ``trace``
+    keeps the rounds that ran.
     """
-    ok, witness = check_precondition(instance)
-    if not ok:
-        raise PreconditionError(
-            f"precondition ERDC(K_P) >= 2 violated at edge ({witness[0]},{witness[1]})",
-            witness,
-        )
     state = compute_kappa(instance, tree, tree)
     # Lazy greedy (see the module docstring): stored gains only overestimate,
     # so a re-scored top that still beats the next stored key is the best pair.
@@ -268,7 +271,11 @@ def greedy_augment(
             trace.append(state.kappa)
         while True:
             if not heap:
-                raise AssertionError("no improving edge despite positive kappa")
+                witness = _first_violation(state)
+                raise PreconditionError(
+                    f"precondition ERDC(K_P) >= 2 violated at edge ({witness[0]},{witness[1]})",
+                    witness,
+                )
             _, index, cand = heapq.heappop(heap)
             gain = delta(state, cand)
             if gain == 0:
@@ -323,26 +330,31 @@ def special_case_construct(nodes, edges) -> frozenset[Edge]:
             tree.append(e)
     if dsu.components != 1:
         raise ValidationError("underlying graph disconnected")
+    # Preorder positions from nodes[0]: a child follows its parent, and
+    # removing tree edge e cuts off the subtree of its later endpoint, the
+    # interval [pos[child], pos[child] + size[child]).
+    adj: dict[str, list[str]] = {x: [] for x in nodes}
+    for u, v in tree:
+        adj[u].append(v)
+        adj[v].append(u)
+    pos, parent = {}, {}
+    stack = [(nodes[0], None)]
+    while stack:
+        u, parent[u] = stack.pop()
+        pos[u] = len(pos)
+        stack.extend((v, u) for v in adj[u] if v not in pos)
+    size = dict.fromkeys(pos, 1)
+    for x in list(pos)[:0:-1]:
+        size[parent[x]] += size[x]
     overlay = set(tree)
-    tree_set = set(tree)
     for e in tree:
-        # Peers on e[0]'s side of the cut induced by removing e from the tree.
-        side = {e[0]}
-        stack = [e[0]]
-        while stack:
-            u = stack.pop()
-            for f in tree_set:
-                if f == e or u not in f:
-                    continue
-                v = f[0] if f[1] == u else f[1]
-                if v not in side:
-                    side.add(v)
-                    stack.append(v)
+        child = max(e, key=pos.get)
+        lo, hi = pos[child], pos[child] + size[child]
         cover = next(
             (
                 f
                 for f in canon
-                if f != e and (f[0] in side) != (f[1] in side)
+                if f != e and (lo <= pos[f[0]] < hi) != (lo <= pos[f[1]] < hi)
             ),
             None,
         )

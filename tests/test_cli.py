@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import deepconn
 from deepconn import fixtures
+from deepconn.gadgets import random_instance
 from deepconn.cli import _build_parser, main
 from deepconn.model import parse_instance, serialize_instance
 from deepconn.oracles import CutCertificate, PathPacking
+from deepconn.sparsifier import check_precondition
 
 EIGHT_PEERS = Path(__file__).parent / "data" / "eight_peers.json"
 
@@ -465,3 +471,53 @@ def test_string_is_not_an_array(tmp_path, capsys, doc, message):
     code, _, err = run(capsys, "validate", "-i", _write_doc(tmp_path, doc))
     assert code == 2
     assert err == f"error FORMAT: {message}\n"
+
+
+def _random_document(feasible):
+    seed = 0
+    while True:
+        inst = random_instance(9, 6, 0.3, "random_simple", seed=seed)
+        if check_precondition(inst)[0] == feasible:
+            return serialize_instance(inst)
+        seed += 1
+
+
+def test_output_is_byte_identical_across_hash_seeds(tmp_path):
+    nodes = [f"c{i}" for i in range(10)]
+    ring = [(nodes[i], nodes[(i + 1) % 10]) for i in range(10)]
+    docs = {
+        "fig1": fixtures.fig1_text(),
+        "feasible": _random_document(True),
+        "infeasible": _random_document(False),
+        "all_peers": serialize_instance(
+            fixtures.identity_instance(nodes, ring + [("c0", "c5"), ("c2", "c7")])
+        ),
+    }
+    for name, text in docs.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    out = tmp_path / "out.json"
+    ops = [
+        [verb, "fig1", "--all-pairs", "--witness"]
+        for verb in ("fdc", "erdc", "pddc", "spddc")
+    ]
+    ops += [["sparsify", doc, "-o", str(out)] for doc in ("feasible", "infeasible")]
+    ops += [["special-case", "all_peers", "-o", str(out)]]
+    src = str(Path(deepconn.__file__).resolve().parents[1])
+    codes = set()
+    for verb, doc, *rest in ops:
+        argv = [verb, "-i", str(tmp_path / f"{doc}.json"), *rest, "--json"]
+        runs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "deepconn.cli", *argv],
+                capture_output=True,
+                env=env,
+            )
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            runs.append((proc.returncode, proc.stdout, proc.stderr, written))
+        assert runs[0] == runs[1], argv
+        codes.add(runs[0][0])
+        assert runs[0][0] != 0 or "-o" not in argv or runs[0][3] is not None
+    assert codes == {0, 1}

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute_force import set_packing_brute_force
 from deepconn.errors import BudgetExceededError, ValidationError
@@ -10,6 +12,7 @@ from deepconn.gadgets import (
     build_hamiltonian_reduction,
     build_spddc_reduction,
     encode_set_system,
+    _random_simple_path,
     random_instance,
 )
 from deepconn.model import build_instance, edge_key
@@ -220,3 +223,56 @@ def test_random_instance_parameter_validation():
         random_instance(4, 2, 1.5)
     with pytest.raises(ValidationError):
         random_instance(4, 2, 0.5, "weird")
+
+
+def random_simple_path_reference(adj, s, t, rng):
+    """The recursive randomized depth-first search the generator first used."""
+    stack = [s]
+    on_stack = {s}
+
+    def walk(u):
+        if u == t:
+            return True
+        for v in rng.sample(adj[u], len(adj[u])):
+            if v not in on_stack:
+                stack.append(v)
+                on_stack.add(v)
+                if walk(v):
+                    return True
+                stack.pop()
+                on_stack.remove(v)
+        return False
+
+    assert walk(s)
+    return tuple(stack)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 12), extra=st.integers(0, 24), seed=st.integers(0, 10**6))
+def test_random_simple_path_matches_recursive_reference(n, extra, seed):
+    rng = random.Random(seed)
+    nodes = [f"n{i}" for i in range(n)]
+    adj = {u: [] for u in nodes}
+    links = [(nodes[i], nodes[rng.randrange(i)]) for i in range(1, n)]
+    links += [tuple(rng.sample(nodes, 2)) for _ in range(extra)]
+    for u, v in links:
+        if v not in adj[u]:
+            adj[u].append(v)
+            adj[v].append(u)
+    s, t = rng.sample(nodes, 2)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _random_simple_path(adj, s, t, ours) == random_simple_path_reference(
+        adj, s, t, theirs
+    )
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_random_simple_path_long_cycle(seed):
+    # From c0 these seeds try c1499 first, so the search walks the whole
+    # cycle: 1,500 hops, past the default recursion limit.
+    n = 1500
+    nodes = [f"c{i}" for i in range(n)]
+    adj = {nodes[i]: [nodes[(i + 1) % n], nodes[i - 1]] for i in range(n)}
+    path = _random_simple_path(adj, "c0", "c1", random.Random(seed))
+    assert path == ("c0", *reversed(nodes[1:]))

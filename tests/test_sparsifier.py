@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,16 +188,40 @@ def test_lazy_greedy_matches_full_rescan():
             assert (overlay, trace) == full_rescan_greedy(inst, tree)
 
 
-def test_precondition_matches_all_edge_reference():
+def precondition_corpus():
     instances = [three_cycle(), path_instance(), fixtures.k2(), *tie_heavy_instances()]
     for seed in range(60):
         n = 3 + seed % 8
         policy = ("shortest_path", "random_simple")[seed % 2]
         instances.append(random_instance(n, 2 + seed % (n - 1), 0.35, policy, seed=seed))
+    return instances
+
+
+def test_precondition_matches_all_edge_reference():
+    instances = precondition_corpus()
     results = [check_precondition(inst) for inst in instances]
     assert results == [precondition_reference(inst) for inst in instances]
     assert sum(ok for ok, _ in results) >= 10
     assert sum(not ok for ok, _ in results) >= 10
+
+
+def test_greedy_raises_at_the_first_violating_edge():
+    infeasible = 0
+    for inst in precondition_corpus():
+        ok, witness = precondition_reference(inst)
+        if ok:
+            continue
+        infeasible += 1
+        for tree in (star_tree(inst), _path_tree(inst)):
+            trace = []
+            with pytest.raises(PreconditionError) as info:
+                greedy_augment(inst, tree, trace=trace)
+            assert info.value.witness == witness
+            assert str(info.value) == (
+                f"precondition ERDC(K_P) >= 2 violated at edge ({witness[0]},{witness[1]})"
+            )
+            assert trace and all(a > b for a, b in zip(trace, trace[1:]))
+    assert infeasible >= 10
 
 
 def test_precondition_three_cycle():
@@ -266,6 +291,37 @@ def test_delta_rejects_existing_edge():
     state = compute_kappa(inst, tree, tree)
     with pytest.raises(ValidationError):
         delta(state, ("a", "b"))
+
+
+def test_delta_rejects_non_pair():
+    inst = three_cycle()
+    state = tracked_state(inst, [("a", "b")], [("a", "b"), ("b", "c")])
+    with pytest.raises(ValidationError, match="not a pair of distinct peers"):
+        delta(state, ("a", "a"))
+
+
+def test_add_edge_rejects_non_pair_and_keeps_state():
+    inst = three_cycle()
+    state = tracked_state(inst, [("a", "b")], [("a", "b"), ("b", "c")])
+    before = (set(state.overlay), dict(state.sep), list(state.kappa_i))
+    with pytest.raises(ValidationError, match="not a pair of distinct peers"):
+        add_edge(state, ("a", "zz"))
+    assert (state.overlay, state.sep, state.kappa_i) == before
+    assert_state_matches_reference(state)
+
+
+def test_compute_kappa_rejects_edge_to_non_peer():
+    inst = three_cycle()
+    tree = [("a", "b"), ("b", "c")]
+    with pytest.raises(ValidationError, match="not a pair of distinct peers"):
+        compute_kappa(inst, tree + [("c", "zz")], tree)
+
+
+def test_tracked_state_rejects_self_pair():
+    inst = three_cycle()
+    tree = [("a", "b"), ("b", "c")]
+    with pytest.raises(ValidationError, match="not a pair of distinct peers"):
+        tracked_state(inst, tree + [("b", "b")], tree)
 
 
 def test_greedy_three_cycle():
@@ -397,6 +453,83 @@ def test_special_case_single_failure_simulation():
     for e in sorted(set(overlay) | set(edges)):
         surviving = [f for f in overlay if f != e]
         assert _still_connected(nodes, surviving)
+
+
+def special_case_reference(nodes, edges):
+    """The special case as first written: a DFS per tree edge for its side."""
+    nodes = list(nodes)
+    canon = sorted(edge_key(*e) for e in edges)
+    parent = {x: x for x in nodes}
+    tree = []
+    for e in canon:
+        a, b = _find(parent, e[0]), _find(parent, e[1])
+        if a != b:
+            parent[a] = b
+            tree.append(e)
+    if len(tree) != len(nodes) - 1:
+        raise ValidationError("underlying graph disconnected")
+    overlay = set(tree)
+    for e in tree:
+        side = {e[0]}
+        stack = [e[0]]
+        while stack:
+            u = stack.pop()
+            for f in tree:
+                if f == e or u not in f:
+                    continue
+                v = f[0] if f[1] == u else f[1]
+                if v not in side:
+                    side.add(v)
+                    stack.append(v)
+        cover = next(
+            (f for f in canon if f != e and (f[0] in side) != (f[1] in side)), None
+        )
+        if cover is None:
+            raise PreconditionError(f"underlying graph has a bridge at ({e[0]},{e[1]})", e)
+        overlay.add(cover)
+    return frozenset(overlay)
+
+
+def _outcome(construct, nodes, edges):
+    try:
+        return construct(nodes, edges)
+    except (PreconditionError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    density=st.floats(0.1, 0.9),
+    seed=st.integers(0, 10**6),
+)
+def test_special_case_matches_reference(n, density, seed):
+    rng = random.Random(seed)
+    nodes = [f"v{i}" for i in range(n)]
+    edges = [e for e in itertools.combinations(nodes, 2) if rng.random() < density]
+    rng.shuffle(edges)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    assert _outcome(special_case_construct, nodes, edges) == _outcome(
+        special_case_reference, nodes, edges
+    )
+
+
+def cycle_with_chords(n):
+    nodes = [f"c{i}" for i in range(n)]
+    edges = [(nodes[i], nodes[(i + 1) % n]) for i in range(n)]
+    edges += [(nodes[i], nodes[(7 * i + 3) % n]) for i in range(0, n, 5)]
+    return nodes, [e for e in edges if e[0] != e[1]]
+
+
+def test_special_case_large_cycle_with_chords():
+    nodes, edges = cycle_with_chords(100)
+    assert special_case_construct(nodes, edges) == special_case_reference(nodes, edges)
+    nodes, edges = cycle_with_chords(400)
+    overlay = special_case_construct(nodes, edges)
+    assert overlay <= {edge_key(*e) for e in edges}
+    assert len(overlay) <= 2 * len(nodes) - 2
+    graph = nx.Graph(list(overlay))
+    assert set(graph) == set(nodes) and nx.is_k_edge_connected(graph, 2)
 
 
 def _still_connected(nodes, edges):
