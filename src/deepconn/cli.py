@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=int, default=None)
         p.add_argument("--json", action="store_true")
-        p.add_argument("-o", "--output", default=None)
         return p
 
     instance_cmd("validate", "parse and validate an instance").set_defaults(
@@ -99,12 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
             witness=True,
             budget=name != "fdc",
         ).set_defaults(handler=_cmd_parameter, parameter=name)
-    instance_cmd("sparsify", "construct a sparse 2-survivable overlay").set_defaults(
-        handler=_cmd_sparsify
-    )
-    instance_cmd(
-        "special-case", "identity-routing 2n-2 construction"
-    ).set_defaults(handler=_cmd_special_case)
+    for name, help_text, handler in (
+        ("sparsify", "construct a sparse 2-survivable overlay", _cmd_sparsify),
+        ("special-case", "identity-routing 2n-2 construction", _cmd_special_case),
+    ):
+        p = instance_cmd(name, help_text)
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(handler=handler)
     instance_cmd("check", "run the cross-parameter invariant suite").set_defaults(
         handler=_cmd_check
     )
@@ -112,14 +112,15 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate instances")
     gsub = gen.add_subparsers(dest="generator", required=True)
 
-    def gen_cmd(name):
+    def gen_cmd(name, labels=False):
         p = gsub.add_parser(name)
         p.add_argument("--json", action="store_true")
         p.add_argument("-o", "--output", default=None)
-        p.add_argument("--labels", default=None, help="sidecar labels path")
+        if labels:
+            p.add_argument("--labels", default=None, help="sidecar labels path")
         return p
 
-    p = gen_cmd("set-system")
+    p = gen_cmd("set-system", labels=True)
     p.add_argument("--h-nodes", required=True, help="comma-separated overlay nodes")
     p.add_argument("--h-edges", required=True, help="comma-separated a-b pairs")
     p.add_argument("--f", required=True, help="comma-separated a-b pairs, one per set")
@@ -127,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets", required=True, help="semicolon-separated comma lists")
     p.set_defaults(handler=_cmd_gen_set_system)
 
-    p = gen_cmd("spddc-reduction")
+    p = gen_cmd("spddc-reduction", labels=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--sets", required=True)
     p.add_argument("--k", type=int, required=True)
@@ -163,7 +164,7 @@ def _load(args) -> Instance:
 def _emit_instance(args, instance, labels=None) -> None:
     if args.output:
         _write(args.output, serialize_instance(instance))
-    if labels is not None and getattr(args, "labels", None):
+    if labels is not None and args.labels:
         _write(args.labels, json.dumps(labels, indent=2) + "\n")
 
 
@@ -307,8 +308,10 @@ def _parse_edge_list(text):
 def _parse_sets(text):
     sets = []
     for chunk in text.split(";"):
-        chunk = chunk.strip()
-        sets.append([int(x) for x in chunk.split(",") if x.strip()] if chunk else [])
+        try:
+            sets.append([int(x) for x in chunk.split(",") if x.strip()])
+        except ValueError:
+            raise FormatError(f"bad set {chunk.strip()!r}; expected integers") from None
     return sets
 
 

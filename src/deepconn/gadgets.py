@@ -216,6 +216,7 @@ def build_hamiltonian_reduction(g0_nodes, g0_edges) -> Instance:
 # -- random instances ------------------------------------------------------
 
 ROUTE_POLICIES = ("shortest_path", "random_simple")
+_GRAPH_ATTEMPTS = 1000
 
 
 def random_instance(
@@ -224,7 +225,6 @@ def random_instance(
     edge_probability: float,
     route_policy: str = "shortest_path",
     seed: int = 0,
-    retries: int = 1000,
 ) -> Instance:
     """Seeded random instance: connected G, total routing, complete overlay."""
     if n_nodes < 2 or not 2 <= n_peers <= n_nodes:
@@ -235,7 +235,7 @@ def random_instance(
         raise ValidationError(f"unknown route policy {route_policy!r}")
     rng = random.Random(seed)
     nodes = [f"n{i:02d}" for i in range(n_nodes)]
-    for _ in range(retries):
+    for _ in range(_GRAPH_ATTEMPTS):
         edges = [
             edge_key(u, v)
             for u, v in combinations(nodes, 2)
@@ -248,7 +248,7 @@ def random_instance(
         if connected(nodes, adj):
             break
     else:
-        raise ValidationError(f"no connected graph within {retries} attempts")
+        raise ValidationError(f"no connected graph within {_GRAPH_ATTEMPTS} attempts")
     for u in adj:
         adj[u].sort()
     peers = sorted(rng.sample(nodes, n_peers))

@@ -333,22 +333,18 @@ def _json_array(pad: str, quote: str = ""):
 # -- route images ----------------------------------------------------------
 
 
-def concatenated_walk(instance: Instance, path: Path) -> list[str]:
-    """The walk in G obtained by concatenating the routes of an overlay path."""
-    _check_overlay_path(instance, path)
-    walk = [path[0]]
-    for u, v in zip(path, path[1:]):
-        walk.extend(instance.route(u, v)[1:])
-    return walk
-
-
 def route_image(instance: Instance, path: Path) -> Counter:
     """Multiplicity of each G-edge along the concatenated implementation.
 
-    counts[e] is the number of appearances of e; absent keys mean 0.
+    counts[e] is the number of hops whose route uses e; absent keys mean 0.
+    Routes are vertex-simple, so each route uses an edge at most once and
+    the image is the sum of the hops' route supports.
     """
-    walk = concatenated_walk(instance, path)
-    return Counter(edge_key(a, b) for a, b in zip(walk, walk[1:]))
+    _check_overlay_path(instance, path)
+    counts = Counter()
+    for u, v in zip(path, path[1:]):
+        counts.update(instance.route_support(u, v))
+    return counts
 
 
 def image_support(instance: Instance, path: Path) -> frozenset[Edge]:
@@ -357,9 +353,16 @@ def image_support(instance: Instance, path: Path) -> frozenset[Edge]:
 
 
 def is_simple_concatenation(instance: Instance, path: Path) -> bool:
-    """True iff the concatenated walk in G visits no vertex twice."""
-    walk = concatenated_walk(instance, path)
-    return len(set(walk)) == len(walk)
+    """True iff the concatenated walk in G visits no vertex twice.
+
+    The walk has 1 + sum(len(r) - 1) vertices over the hops' routes r, and
+    it visits exactly the vertices of those routes, so it is simple iff the
+    routes cover that many distinct vertices.  Neither count depends on a
+    route's orientation, so the stored routes are read as they are.
+    """
+    _check_overlay_path(instance, path)
+    routes = [instance.routes[edge_key(u, v)] for u, v in zip(path, path[1:])]
+    return len(set().union(*routes)) == 1 + sum(len(r) - 1 for r in routes)
 
 
 def _check_overlay_path(instance: Instance, path: Path) -> None:

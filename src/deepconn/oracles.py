@@ -14,7 +14,6 @@ from itertools import combinations
 from .errors import BudgetExceededError, ValidationError
 from .fdc import fdc_pair
 from .model import (
-    DEFAULT_PATH_CAP,
     Edge,
     Instance,
     Path,
@@ -220,12 +219,11 @@ def pddc_pair(
     instance: Instance,
     s: str,
     t: str,
-    path_cap: int = DEFAULT_PATH_CAP,
     budget: int = DEFAULT_PACKING_BUDGET,
 ) -> tuple[int, PathPacking]:
     """Maximum number of overlay (s,t)-paths with pairwise disjoint images."""
     check_pair(instance, s, t)
-    paths = enumerate_simple_paths(instance, s, t, cap=path_cap)
+    paths = enumerate_simple_paths(instance, s, t)
     return _packing(instance, s, t, paths, budget)
 
 
@@ -233,14 +231,13 @@ def spddc_pair(
     instance: Instance,
     s: str,
     t: str,
-    path_cap: int = DEFAULT_PATH_CAP,
     budget: int = DEFAULT_PACKING_BUDGET,
 ) -> tuple[int, PathPacking]:
     """As pddc_pair, restricted to paths whose concatenated walk is simple."""
     check_pair(instance, s, t)
     paths = [
         p
-        for p in enumerate_simple_paths(instance, s, t, cap=path_cap)
+        for p in enumerate_simple_paths(instance, s, t)
         if is_simple_concatenation(instance, p)
     ]
     return _packing(instance, s, t, paths, budget)

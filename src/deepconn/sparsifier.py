@@ -85,7 +85,6 @@ class AugmentationState:
     """
 
     instance: Instance
-    tree: frozenset[Edge]
     overlay: set[Edge]
     tracked: tuple[Edge, ...]
     sep: dict[Edge, int]
@@ -103,7 +102,7 @@ def tracked_state(instance: Instance, overlay, tree) -> AugmentationState:
     """
     _require_total(instance)
     overlay = {edge_key(*e) for e in overlay}
-    tree = frozenset(edge_key(*e) for e in tree)
+    tree = {edge_key(*e) for e in tree}
     supports = {p: instance.route_support(*p) for p in peer_pairs(instance)}
     stray = (overlay | tree).difference(supports)
     if stray:
@@ -152,7 +151,6 @@ def tracked_state(instance: Instance, overlay, tree) -> AugmentationState:
         sep[p] &= ~mask
     return AugmentationState(
         instance=instance,
-        tree=tree,
         overlay=overlay,
         tracked=tracked,
         sep=sep,

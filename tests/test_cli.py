@@ -286,6 +286,11 @@ def test_gen_spddc_reduction(tmp_path, capsys):
     report = json.loads(out)
     assert report["source"] == "u0" and report["sink"] == "u2"
     parse_instance(out_path.read_text())
+    code, out, err = run(
+        capsys, "gen", "spddc-reduction", "--m", "2", "--sets", "1;2.5", "--k", "2"
+    )
+    assert code == 2 and out == ""
+    assert err == "error FORMAT: bad set '2.5'; expected integers\n"
 
 
 def test_gen_set_system_labels(tmp_path, capsys):
@@ -314,6 +319,12 @@ def test_gen_set_system_labels(tmp_path, capsys):
     labels = json.loads(labels_path.read_text())
     assert len(labels["element_edges"]) == 2
     parse_instance(out_path.read_text())
+    code, out, err = run(
+        capsys, "gen", "set-system", "--h-nodes", "x,y,z", "--h-edges", "x-y,y-z",
+        "--f", "x-y,y-z", "--m", "2", "--sets", "1;1,x",
+    )
+    assert code == 2 and out == ""
+    assert err == "error FORMAT: bad set '1,x'; expected integers\n"
 
 
 def test_gen_hamiltonian(tmp_path, capsys):
@@ -351,17 +362,29 @@ def test_witness_reingest(fig1_path, capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["validate"],
-        ["fdc", "--pair", "S", "T"],
-        ["check"],
-        ["sparsify"],
-        ["special-case"],
+        ["validate", "-i", "@", "--budget", "1"],
+        ["fdc", "--pair", "S", "T", "-i", "@", "--budget", "1"],
+        ["check", "-i", "@", "--budget", "1"],
+        ["sparsify", "-i", "@", "--budget", "1"],
+        ["special-case", "-i", "@", "--budget", "1"],
+        ["validate", "-i", "@", "-o", "x"],
+        ["fdc", "--pair", "S", "T", "-i", "@", "-o", "x"],
+        ["erdc", "--all-pairs", "-i", "@", "-o", "x"],
+        ["pddc", "--all-pairs", "-i", "@", "-o", "x"],
+        ["spddc", "--all-pairs", "-i", "@", "-o", "x"],
+        ["check", "-i", "@", "-o", "x"],
+        ["gen", "random", "--nodes", "5", "--peers", "3", "--labels", "x"],
+        ["gen", "hamiltonian", "--nodes", "a,b", "--edges", "a-b", "--labels", "x"],
     ],
 )
 def test_budget_rejected_where_unused(fig1_path, capsys, argv):
-    code, _, err = run(capsys, *argv, "-i", fig1_path, "--budget", "1")
-    assert code == 2
-    assert "unrecognized arguments: --budget 1" in err
+    """A flag that a verb would not act on, the last two items of argv, is
+    a usage error there; "@" stands for the fig1 document.
+    """
+    argv = [fig1_path if a == "@" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
 
 
 def test_budget_honoured_by_search_verbs(fig1_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from deepconn.model import (
     image_support,
     is_simple_concatenation,
     parse_instance,
+    peer_pairs,
     route_image,
     serialize_instance,
 )
@@ -210,17 +212,51 @@ def test_serialize_empty_lists():
     assert '"overlay_edges": [],\n  "routes": []\n}\n' in serialize_instance(inst)
 
 
-def test_image_support_is_union_of_hops():
-    rng = random.Random(5)
-    for seed in range(5):
-        inst = random_instance(9, 5, 0.5, "random_simple", seed=seed)
-        peers = sorted(inst.peers)
-        for s, t in [(peers[0], peers[-1]), (peers[1], peers[2])]:
-            for path in enumerate_simple_paths(inst, s, t)[:20]:
+def walk_reference(instance, path):
+    """The G-walk that concatenates the hops' routes, the reference that
+    the route-image functions are checked against.
+    """
+    walk = [path[0]]
+    for u, v in zip(path, path[1:]):
+        walk.extend(instance.route(u, v)[1:])
+    return walk
+
+
+def walk_image(instance, path):
+    walk = walk_reference(instance, path)
+    return Counter(edge_key(a, b) for a, b in zip(walk, walk[1:]))
+
+
+def walk_is_simple(instance, path):
+    walk = walk_reference(instance, path)
+    return len(set(walk)) == len(walk)
+
+
+def test_image_support_is_union_of_hops(fig1, shared_edge):
+    """route_image, image_support and is_simple_concatenation agree with the
+    concatenated walk on every overlay path, up to 40 per pair, of fig1,
+    shared_edge and random instances under both route policies.
+    """
+    instances = [fig1, shared_edge] + [
+        random_instance(9, 6, 0.5, policy, seed=seed)
+        for policy in ROUTE_POLICIES
+        for seed in range(4)
+    ]
+    simple_paths = repeated = 0
+    for inst in instances:
+        for s, t in peer_pairs(inst):
+            for path in enumerate_simple_paths(inst, s, t)[:40]:
+                image = walk_image(inst, path)
                 union = frozenset().union(
                     *(inst.route_support(u, v) for u, v in zip(path, path[1:]))
                 )
-                assert image_support(inst, path) == union
+                assert route_image(inst, path) == image
+                assert image_support(inst, path) == union == frozenset(image)
+                simple = walk_is_simple(inst, path)
+                assert is_simple_concatenation(inst, path) == simple
+                simple_paths += simple
+                repeated += max(image.values()) > 1
+    assert simple_paths and repeated
 
 
 def test_one_hop_multiplicities_are_one():
