@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ValidationError
-from .model import Edge, Instance, build_instance, connected, edge_key
+from .model import Instance, build_instance, connected, edge_key
 
 APEX_X = "apex_x"
 APEX_Y = "apex_y"
@@ -71,11 +71,12 @@ def encode_set_system(h_nodes, h_edges, f, system: SetSystem) -> GadgetOutput:
     f = [edge_key(*e) for e in f]
     if len(f) != system.n:
         raise ValidationError("f must list one overlay edge per set")
-    if len(set(f)) != len(f):
+    routed = set(f)
+    if len(routed) != len(f):
         raise ValidationError("duplicate edges in f")
-    if not set(f) <= set(h_edges):
+    if not routed <= set(h_edges):
         raise ValidationError("f must be a subset of the overlay edges")
-    used = set().union(*system.sets) if system.sets else set()
+    used = set().union(*system.sets)
     for i in range(1, system.m + 1):
         if i not in used:
             raise ValidationError(
@@ -100,12 +101,12 @@ def encode_set_system(h_nodes, h_edges, f, system: SetSystem) -> GadgetOutput:
         element_vertices[i] = (a, b)
         element_edges.append(edge_key(a, b))
 
-    identity_edges = [e for e in h_edges if e not in set(f)]
-    edges = list(identity_edges) + list(element_edges)
+    identity_edges = [e for e in h_edges if e not in routed]
+    edges = identity_edges + element_edges
+    element_set = set(element_edges)
     route_edges = []
     subdivision_vertices = []
     routes = {e: e for e in identity_edges}
-    route_paths = {}
     for j, (pair, members) in enumerate(zip(f, system.sets), start=1):
         x, y = pair
         waypoints = [x]
@@ -115,7 +116,7 @@ def encode_set_system(h_nodes, h_edges, f, system: SetSystem) -> GadgetOutput:
         path = [x]
         connector = 0
         for a, b in zip(waypoints, waypoints[1:]):
-            if edge_key(a, b) in set(element_edges):
+            if edge_key(a, b) in element_set:
                 path.append(b)
                 continue
             connector += 1
@@ -126,7 +127,6 @@ def encode_set_system(h_nodes, h_edges, f, system: SetSystem) -> GadgetOutput:
                 route_edges.append(half)
             path.extend([z, b])
         routes[pair] = tuple(path)
-        route_paths[pair] = tuple(path)
 
     instance = build_instance(nodes, edges, h_nodes, h_edges, routes)
     labels = {
@@ -136,14 +136,14 @@ def encode_set_system(h_nodes, h_edges, f, system: SetSystem) -> GadgetOutput:
         "identity_edges": [list(e) for e in identity_edges],
         "subdivision_vertices": list(subdivision_vertices),
         "f": [list(e) for e in f],
-        "routes": {f"{u},{v}": list(p) for (u, v), p in route_paths.items()},
+        "routes": {f"{u},{v}": list(routes[(u, v)]) for u, v in f},
     }
     return GadgetOutput(instance, labels)
 
 
 def _compact(system: SetSystem) -> SetSystem:
     """Drop elements that appear in no set; packing structure is unchanged."""
-    used = sorted(set().union(*system.sets)) if system.sets else []
+    used = sorted(set().union(*system.sets))
     relabel = {old: new for new, old in enumerate(used, start=1)}
     return SetSystem(
         len(used), tuple(frozenset(relabel[i] for i in s) for s in system.sets)

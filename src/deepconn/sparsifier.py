@@ -16,13 +16,12 @@ each, it merges the smaller component's member list into the larger and
 clears the bit on every pair across the two, so the work over a whole run
 is bounded by the cross pairs of the starting partitions.
 
-The greedy is lazy (Minoux's accelerated greedy): every candidate pair is
-scored once, and each round re-scores only the top of a max-heap of stored
-gains until the re-scored top still beats the next stored gain.  This is
-exact because delta is antitone (adding overlay edges only merges
-components, so no gain grows): a stored gain bounds the current one from
-above.  Ties go to the first pair in ``peer_pairs`` order, as in a full
-rescan, so the overlay and the kappa trace are those of the full rescan.
+Each greedy round rescores every live peer pair, one popcount each, and
+adds the first pair of largest gain in ``peer_pairs`` order.  A pair whose
+gain is zero is dropped for good: delta is antitone (adding overlay edges
+only merges components, so no gain grows), so it never gains again.  Tree
+pairs start at zero and an added pair's mask is cleared, so overlay pairs
+drop out on their own.
 
 The kappa state is also the one feasibility test.  The precondition,
 ERDC(K_P) >= 2, fails at a G-edge when removing the pairs routed through
@@ -30,15 +29,14 @@ it disconnects K_P.  Once no pair has a positive gain, partition i is
 exactly the components of K_P minus the pairs routed through tracked[i],
 so kappa_i > 0 there iff tracked[i] violates the precondition; an
 untracked G-edge never does, because the tree survives its failure.  The
-greedy raises PreconditionError at the first such edge when its heap runs
-empty, and check_precondition builds the state of K_P itself.
+greedy raises PreconditionError at the first such edge when no live pair
+gains, and check_precondition builds the state of K_P itself.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, compress
 
 from .errors import PreconditionError, ValidationError
 from .model import Edge, Instance, edge_key, peer_pairs
@@ -171,6 +169,7 @@ def compute_kappa(instance: Instance, overlay, tree) -> AugmentationState:
 
 
 def _check_spanning_tree(instance: Instance, tree) -> None:
+    # |P| - 1 peer pairs that close no cycle join all |P| peers.
     if len(tree) != len(instance.peers) - 1:
         raise ValidationError("base tree has wrong edge count")
     dsu = _DSU(instance.peers)
@@ -179,8 +178,6 @@ def _check_spanning_tree(instance: Instance, tree) -> None:
             raise ValidationError("tree edge endpoint is not a peer")
         if not dsu.union(u, v):
             raise ValidationError("base tree contains a cycle")
-    if dsu.components != 1:
-        raise ValidationError("base tree does not span the peers")
 
 
 def delta(state: AugmentationState, e: Edge) -> int:
@@ -249,39 +246,27 @@ def greedy_augment(
 ) -> frozenset[Edge]:
     """Add maximum-gain peer pairs to the tree until kappa reaches zero.
 
-    Ties go to the first pair in ``peer_pairs`` order.  If no pair gains
-    while kappa is positive, the precondition fails: PreconditionError names
-    the first violating edge, as ``check_precondition`` would, and ``trace``
-    keeps the rounds that ran.
+    Each round rescores the live pairs and drops those at zero gain, which
+    stay at zero because gains only fall.  Ties go to the first pair in
+    ``peer_pairs`` order.  If no pair gains while kappa is positive, the
+    precondition fails: PreconditionError names the first violating edge,
+    as ``check_precondition`` would, and ``trace`` keeps the rounds that ran.
     """
     state = compute_kappa(instance, tree, tree)
-    # Lazy greedy (see the module docstring): stored gains only overestimate,
-    # so a re-scored top that still beats the next stored key is the best pair.
-    heap = []
-    for index, cand in enumerate(peer_pairs(instance)):
-        if cand not in state.overlay:
-            gain = delta(state, cand)
-            if gain > 0:
-                heap.append((-gain, index, cand))
-    heapq.heapify(heap)
+    pairs = list(peer_pairs(instance))
     while state.kappa > 0:
         if trace is not None:
             trace.append(state.kappa)
-        while True:
-            if not heap:
-                witness = _first_violation(state)
-                raise PreconditionError(
-                    f"precondition ERDC(K_P) >= 2 violated at edge ({witness[0]},{witness[1]})",
-                    witness,
-                )
-            _, index, cand = heapq.heappop(heap)
-            gain = delta(state, cand)
-            if gain == 0:
-                continue
-            entry = (-gain, index, cand)
-            if not heap or entry < heap[0]:
-                break
-            heapq.heappush(heap, entry)
+        gains = list(map(int.bit_count, map(state.sep.__getitem__, pairs)))
+        best = max(gains, default=0)
+        if best == 0:
+            witness = _first_violation(state)
+            raise PreconditionError(
+                f"precondition ERDC(K_P) >= 2 violated at edge ({witness[0]},{witness[1]})",
+                witness,
+            )
+        cand = pairs[gains.index(best)]
+        pairs = list(compress(pairs, gains))
         add_edge(state, cand)
     if trace is not None:
         trace.append(0)

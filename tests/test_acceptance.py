@@ -35,7 +35,6 @@ from deepconn.sparsifier import (
     check_precondition,
     greedy_augment,
     sparsified_instance,
-    sparsify,
     special_case_construct,
     star_tree,
     tracked_state,

@@ -15,7 +15,7 @@ from deepconn.fdc import (
     separation_oracle,
 )
 from deepconn.gadgets import random_instance
-from deepconn.model import build_instance, edge_key, route_image
+from deepconn.model import build_instance, edge_key
 from deepconn.oracles import all_pairs, classic_edge_connectivity
 
 

@@ -16,7 +16,7 @@ from deepconn.gadgets import (
     random_instance,
 )
 from deepconn.model import build_instance, edge_key
-from deepconn.oracles import all_pairs, erdc_pair, spddc_pair
+from deepconn.oracles import all_pairs, spddc_pair
 
 
 def lemma_example():

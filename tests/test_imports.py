@@ -1,0 +1,40 @@
+"""Every imported name in the package and the tests is used."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# The package's __init__.py imports its public API only to re-export it.
+EXEMPT = {ROOT / "src" / "deepconn" / "__init__.py"}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no Name node reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport os.path\nfrom a import b, c as d\nd()\n"
+    assert unused_imports(source) == ["line 2: os", "line 3: b"]
+
+
+def test_no_unused_imports():
+    files = sorted((ROOT / "src" / "deepconn").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert len(files) > 10
+    found = [
+        f"{path.relative_to(ROOT)} {hit}"
+        for path in files
+        if path not in EXEMPT
+        for hit in unused_imports(path.read_text())
+    ]
+    assert found == []

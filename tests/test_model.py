@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import disconnected_overlay_instance, random_connected_graph, subsample_overlay
+from conftest import disconnected_overlay_instance, subsample_overlay
 from deepconn import fixtures
 from deepconn.errors import BudgetExceededError, DeepConnError, FormatError, ValidationError
 from deepconn.gadgets import ROUTE_POLICIES, random_instance

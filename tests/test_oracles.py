@@ -15,7 +15,7 @@ from deepconn import fixtures
 from deepconn.errors import BudgetExceededError, ValidationError
 from deepconn.fdc import fdc_pair
 from deepconn.gadgets import ROUTE_POLICIES, random_instance
-from deepconn.model import build_instance, edge_key, overlay_path, peer_pairs
+from deepconn.model import overlay_path, peer_pairs
 from deepconn.oracles import (
     _max_packing,
     all_pairs,

@@ -81,14 +81,18 @@ def precondition_reference(instance):
 
 
 def full_rescan_greedy(instance, tree):
-    """Greedy that re-scores every candidate each round: the overlay and the trace."""
+    """Greedy that re-scores every candidate each round: the overlay and the
+    trace.  It stops when no candidate gains while kappa is positive, with
+    overlay None and the trace of the rounds that ran.
+    """
     state = tracked_state(instance, tree, tree)
     trace = []
     while state.kappa > 0:
         trace.append(state.kappa)
         gains = [(delta(state, c), c) for c in peer_pairs(instance) if c not in state.overlay]
-        gain, best = max(gains, key=lambda g: g[0])
-        assert gain > 0
+        gain, best = max(gains, key=lambda g: g[0], default=(0, None))
+        if gain == 0:
+            return None, trace
         add_edge(state, best)
     return frozenset(state.overlay), trace + [0]
 
@@ -176,7 +180,7 @@ def test_state_matches_union_find_reference(seed, n_nodes, keep, policy, path_tr
     assert state.kappa_i == tracked_state(inst, state.overlay, tree).kappa_i
 
 
-def test_lazy_greedy_matches_full_rescan():
+def test_greedy_matches_full_rescan():
     instances = [three_cycle(), *tie_heavy_instances()]
     instances += feasible_random_instances(25, max_peers=9, seed0=300)
     instances = [inst for inst in instances if check_precondition(inst)[0]]
@@ -221,6 +225,7 @@ def test_greedy_raises_at_the_first_violating_edge():
                 f"precondition ERDC(K_P) >= 2 violated at edge ({witness[0]},{witness[1]})"
             )
             assert trace and all(a > b for a, b in zip(trace, trace[1:]))
+            assert full_rescan_greedy(inst, tree) == (None, trace)
     assert infeasible >= 10
 
 
@@ -242,6 +247,30 @@ def test_precondition_k2():
 def test_precondition_requires_total(fig1):
     with pytest.raises(ValidationError, match="total"):
         check_precondition(fig1)
+
+
+K4_EDGES = list(itertools.combinations("abcd", 2))
+
+
+@pytest.mark.parametrize(
+    "overlay, tree, message",
+    [
+        (K4_EDGES[:2], [("a", "b"), ("a", "c"), ("a", "d")], "overlay must contain the base tree"),
+        (None, [("a", "b"), ("b", "c")], "base tree has wrong edge count"),
+        (None, [("a", "b"), ("b", "c"), ("c", "zz")], "tree edge endpoint is not a peer"),
+        (None, [("a", "b"), ("b", "c"), ("a", "c")], "base tree contains a cycle"),
+    ],
+    ids=["outside-overlay", "edge-count", "non-peer", "cycle"],
+)
+def test_tree_checks(overlay, tree, message):
+    # A tree that does not span either has the wrong edge count or closes a
+    # cycle (the cycle case leaves d out), so it has no message of its own.
+    inst = fixtures.identity_instance(list("abcd"), K4_EDGES)
+    with pytest.raises(ValidationError, match=message):
+        compute_kappa(inst, tree if overlay is None else overlay, tree)
+    if overlay is None:
+        with pytest.raises(ValidationError, match=message):
+            greedy_augment(inst, tree)
 
 
 def test_compute_kappa_tree():
