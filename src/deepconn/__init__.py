@@ -37,7 +37,6 @@ from .oracles import (
     CutCertificate,
     PathPacking,
     all_pairs,
-    classic_edge_connectivity,
     erdc_pair,
     pair_parameter,
     pddc_pair,

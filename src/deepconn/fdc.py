@@ -71,18 +71,24 @@ def separation_oracle(
 ) -> Path | None:
     """Return an overlay (s,t)-path whose image costs < 1 under y, if any.
 
-    The returned path is the lexicographically smallest among the
-    minimum-weight simple (s,t)-paths of the weighted overlay graph.  The
-    search runs on integers: y is scaled by the lcm of its denominators, so
-    "costs < 1" becomes "costs < scale".
+    The returned path has minimum cost, then the fewest hops, and is then
+    the lexicographically smallest in ``h_neighbors`` order.  The search
+    runs on integers: y is scaled by the lcm of its denominators, and an
+    overlay edge whose route then weighs w gets the weight w·|P| + 1.  A
+    simple path has fewer than |P| hops, so the added ones sum to less than
+    |P|: they never reorder paths of different cost, only break ties by hop
+    count, and "costs < 1" becomes "weighs < scale·|P|".  Every weight is
+    positive, so the tight edges (those on a shortest path to t) form a DAG.
+    One Dijkstra from t, then a walk from s that takes the first tight
+    neighbour at each step, yields the path; it is simple with no search.
     """
     check_pair(instance, s, t)
     if any(v < 0 for v in y.values()):
         raise ValidationError("dual weights must be nonnegative")
     scale = math.lcm(*(v.denominator for v in y.values()))
-    w = overlay_weights(
-        instance, {e: v.numerator * (scale // v.denominator) for e, v in y.items()}
-    )
+    n = len(instance.peers)
+    scaled = {e: v.numerator * (scale // v.denominator) for e, v in y.items()}
+    w = {e: x * n + 1 for e, x in overlay_weights(instance, scaled).items()}
 
     # Dijkstra from t; dist[v] = cheapest (v,t) overlay distance.
     dist: dict[str, int] = {t: 0}
@@ -98,36 +104,16 @@ def separation_oracle(
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    if s not in dist or dist[s] >= scale:
+    if s not in dist or dist[s] >= scale * n:
         return None
 
-    # Lexicographically smallest shortest simple path: DFS in neighbor order,
-    # pruning prefixes that cannot complete a minimum-weight path.  Each frame
-    # holds the weight spent to reach its peer and an iterator over that
-    # peer's neighbors not yet tried, so long paths need no recursion.
-    target = dist[s]
+    # dist falls strictly along every tight edge, so the walk ends at t.
     path = [s]
-    on_path = {s}
-    frames = [(0, iter(instance.h_neighbors(s)))]
-    while frames:
+    while path[-1] != t:
         u = path[-1]
-        spent, options = frames[-1]
-        for v in options:
-            if v in on_path or v not in dist:
-                continue
-            nd = spent + w[edge_key(u, v)]
-            if nd + dist[v] != target:
-                continue
-            path.append(v)
-            if v == t:
-                return tuple(path)
-            on_path.add(v)
-            frames.append((nd, iter(instance.h_neighbors(v))))
-            break
-        else:
-            frames.pop()
-            on_path.remove(path.pop())
-    raise AssertionError("a shortest walk always shortcuts to a simple path")
+        tight = (v for v in instance.h_neighbors(u) if w[edge_key(u, v)] + dist[v] == dist[u])
+        path.append(next(tight))
+    return tuple(path)
 
 
 def fdc_pair(instance: Instance, s: str, t: str) -> FlowResult:

@@ -84,14 +84,6 @@ class Instance:
     def h_neighbors(self, u: str) -> tuple[str, ...]:
         return self._h_adjacency.get(u, ())
 
-    def route(self, u: str, v: str) -> Path:
-        """Route oriented to start at u."""
-        key = edge_key(u, v)
-        if key not in self.routes:
-            raise ValidationError(f"no route for peer pair {key}")
-        path = self.routes[key]
-        return path if path[0] == u else tuple(reversed(path))
-
     def route_support(self, u: str, v: str) -> frozenset[Edge]:
         return self._supports[edge_key(u, v)]
 

@@ -1,5 +1,5 @@
 """Exact (exponential-time, desk-scale) oracles for the cut and packing
-parameters, plus a classic single-layer edge-connectivity routine.
+parameters.
 
 These double as first-class features and as ground truth for property tests.
 Budgets are hard guards: the searches fail loudly instead of approximating.
@@ -7,7 +7,6 @@ Budgets are hard guards: the searches fail loudly instead of approximating.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -269,34 +268,3 @@ def all_pairs(instance: Instance, which: str, **kwargs):
             best = (value, (u, v), witness)
     return best
 
-
-def classic_edge_connectivity(nodes, edges, s: str, t: str) -> int:
-    """Unit-capacity undirected max flow between s and t (augmenting paths)."""
-    if s == t:
-        raise ValidationError("endpoints must be distinct")
-    cap: dict[tuple[str, str], int] = {}
-    adj: dict[str, list[str]] = {u: [] for u in nodes}
-    for u, v in edges:
-        cap[(u, v)] = 1
-        cap[(v, u)] = 1
-        adj[u].append(v)
-        adj[v].append(u)
-    flow = 0
-    while True:
-        prev = {s: s}
-        queue = deque([s])
-        while queue and t not in prev:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in prev and cap[(u, v)] > 0:
-                    prev[v] = u
-                    queue.append(v)
-        if t not in prev:
-            return flow
-        v = t
-        while v != s:
-            u = prev[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] += 1
-            v = u
-        flow += 1

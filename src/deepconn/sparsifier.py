@@ -99,8 +99,11 @@ def tracked_state(instance: Instance, overlay, tree) -> AugmentationState:
     the tree); the tree argument only fixes the tracked underlying edges.
     """
     _require_total(instance)
-    overlay = {edge_key(*e) for e in overlay}
-    tree = {edge_key(*e) for e in tree}
+    return _state(instance, {edge_key(*e) for e in overlay}, {edge_key(*e) for e in tree})
+
+
+def _state(instance: Instance, overlay: set[Edge], tree: set[Edge]) -> AugmentationState:
+    """The state of canonical overlay and tree edge sets on a total instance."""
     supports = {p: instance.route_support(*p) for p in peer_pairs(instance)}
     stray = (overlay | tree).difference(supports)
     if stray:
@@ -165,7 +168,7 @@ def compute_kappa(instance: Instance, overlay, tree) -> AugmentationState:
     if not tree <= overlay:
         raise ValidationError("overlay must contain the base tree")
     _check_spanning_tree(instance, tree)
-    return tracked_state(instance, overlay, tree)
+    return _state(instance, overlay, tree)
 
 
 def _check_spanning_tree(instance: Instance, tree) -> None:

@@ -1,10 +1,11 @@
 """Exhaustive reference oracles that only the tests use."""
 
+from collections import deque
 from itertools import combinations
 
 from deepconn.errors import BudgetExceededError, PreconditionError, ValidationError
 from deepconn.gadgets import SetSystem
-from deepconn.model import edge_key, peer_pairs
+from deepconn.model import edge_key, enumerate_simple_paths, peer_pairs, route_image
 from deepconn.sparsifier import check_precondition, tracked_state
 
 
@@ -32,6 +33,20 @@ def brute_force_augment(instance, tree, budget: int = 200_000):
     raise AssertionError("complete peer graph must be feasible under the precondition")
 
 
+def separation_reference(instance, s, t, y):
+    """The (cost, hops, path)-smallest simple overlay (s,t)-path whose image
+    costs < 1 under y, else None; exhaustive.
+    """
+    best = min(
+        (
+            (sum(m * y.get(e, 0) for e, m in route_image(instance, p).items()), len(p), p)
+            for p in enumerate_simple_paths(instance, s, t)
+        ),
+        default=None,
+    )
+    return best[2] if best is not None and best[0] < 1 else None
+
+
 def set_packing_brute_force(system: SetSystem, k: int, budget: int = 1_000_000) -> bool:
     """True iff k pairwise disjoint sets exist; exhaustive search."""
     if k < 1:
@@ -49,3 +64,35 @@ def set_packing_brute_force(system: SetSystem, k: int, budget: int = 1_000_000) 
         if len(union) == total:
             return True
     return False
+
+
+def classic_edge_connectivity(nodes, edges, s: str, t: str) -> int:
+    """Unit-capacity undirected max flow between s and t (augmenting paths)."""
+    if s == t:
+        raise ValidationError("endpoints must be distinct")
+    cap: dict[tuple[str, str], int] = {}
+    adj: dict[str, list[str]] = {u: [] for u in nodes}
+    for u, v in edges:
+        cap[(u, v)] = 1
+        cap[(v, u)] = 1
+        adj[u].append(v)
+        adj[v].append(u)
+    flow = 0
+    while True:
+        prev = {s: s}
+        queue = deque([s])
+        while queue and t not in prev:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in prev and cap[(u, v)] > 0:
+                    prev[v] = u
+                    queue.append(v)
+        if t not in prev:
+            return flow
+        v = t
+        while v != s:
+            u = prev[v]
+            cap[(u, v)] -= 1
+            cap[(v, u)] += 1
+            v = u
+        flow += 1

@@ -11,7 +11,11 @@ import random
 import time
 from fractions import Fraction
 
-from brute_force import brute_force_augment, set_packing_brute_force
+from brute_force import (
+    brute_force_augment,
+    classic_edge_connectivity,
+    set_packing_brute_force,
+)
 from conftest import random_connected_graph
 from deepconn import fixtures
 from deepconn.errors import BudgetExceededError
@@ -26,7 +30,6 @@ from deepconn.gadgets import (
 from deepconn.model import build_instance, edge_key
 from deepconn.oracles import (
     all_pairs,
-    classic_edge_connectivity,
     erdc_pair,
     pddc_pair,
     spddc_pair,

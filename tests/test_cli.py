@@ -10,11 +10,13 @@ import deepconn
 from deepconn import fixtures
 from deepconn.gadgets import random_instance
 from deepconn.cli import _build_parser, main
+from deepconn.fdc import fdc_pair
 from deepconn.model import parse_instance, serialize_instance
 from deepconn.oracles import CutCertificate, PathPacking
 from deepconn.sparsifier import check_precondition
 
 EIGHT_PEERS = Path(__file__).parent / "data" / "eight_peers.json"
+FORTY_NODES = Path(__file__).parent / "data" / "forty_nodes.json"
 
 
 @pytest.fixture()
@@ -101,6 +103,18 @@ def test_eight_peer_pair(capsys, verb):
         assert len(paths) == 5
         assert all(p[0] == "n01" and p[-1] == "n11" for p in paths)
         PathPacking(paths).validate(instance, simple_only=verb == "spddc")
+
+
+def test_forty_node_fdc_pair(capsys):
+    # 40 nodes, 20 peers, a complete overlay whose hops mostly carry dual
+    # weight 0: a separation oracle that searches among tied paths hangs.
+    code, out, err = run(
+        capsys, "fdc", "-i", str(FORTY_NODES), "--pair", "n00", "n38", "--witness", "--json"
+    )
+    assert code == 0 and err == ""
+    assert '"value": "6"' in out
+    instance = parse_instance(FORTY_NODES.read_text())
+    fdc_pair(instance, "n00", "n38").validate(instance, "n00", "n38")
 
 
 def test_all_pairs(fig1_path, capsys):

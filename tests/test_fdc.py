@@ -4,7 +4,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brute_force import classic_edge_connectivity, separation_reference
 from conftest import disconnected_overlay_instance, random_connected_graph, subsample_overlay
 from deepconn import fixtures
 from deepconn.errors import ValidationError
@@ -14,9 +17,9 @@ from deepconn.fdc import (
     overlay_weights,
     separation_oracle,
 )
-from deepconn.gadgets import random_instance
-from deepconn.model import build_instance, edge_key
-from deepconn.oracles import all_pairs, classic_edge_connectivity
+from deepconn.gadgets import ROUTE_POLICIES, random_instance
+from deepconn.model import build_instance, edge_key, peer_pairs
+from deepconn.oracles import all_pairs
 
 
 def test_oracle_zero_weights_returns_violation(fig1):
@@ -59,6 +62,28 @@ def test_oracle_long_path_overlay_needs_no_recursion():
     nodes = [f"p{i:05d}" for i in range(sys.getrecursionlimit() + 100)]
     inst = fixtures.identity_instance(nodes, list(zip(nodes, nodes[1:])))
     assert separation_oracle(inst, nodes[0], nodes[-1], {}) == tuple(nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_nodes=st.integers(3, 7),
+    keep=st.floats(0.2, 1.0),
+    policy=st.sampled_from(ROUTE_POLICIES),
+    # Zeros are frequent so that many paths tie on cost.
+    duals=st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(0, 1, max_denominator=6)),
+        min_size=21,
+        max_size=21,
+    ),
+)
+def test_oracle_matches_reference(seed, n_nodes, keep, policy, duals):
+    rng = random.Random(seed)
+    full = random_instance(n_nodes, rng.randint(2, n_nodes), 0.6, policy, seed=seed)
+    inst = subsample_overlay(rng, full, keep)
+    y = dict(zip(sorted(inst.edges), duals))
+    for s, t in peer_pairs(inst):
+        assert separation_oracle(inst, s, t, y) == separation_reference(inst, s, t, y)
 
 
 def test_fdc_fig1(fig1):

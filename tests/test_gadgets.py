@@ -63,7 +63,7 @@ def test_empty_set_column_routes_directly():
     out = encode_set_system(
         ["x", "y", "z"], [("x", "y"), ("y", "z")], [("x", "y"), ("y", "z")], system
     )
-    path = out.instance.route("y", "z")
+    path = out.instance.routes[edge_key("y", "z")]
     # Direct subdivided connector: y - z-vertex - z, no element edges.
     assert len(path) == 3
     assert path[1] in out.labels["subdivision_vertices"]
@@ -183,8 +183,8 @@ def test_hamiltonian_reduction_triangle():
 
 def test_hamiltonian_routing_rule():
     inst = build_hamiltonian_reduction(["a", "b", "c"], [("a", "b")])
-    assert inst.route("a", "b") == ("a", "b")
-    assert inst.route("a", "c") == ("a", "apex_x", "apex_y", "c")
+    assert inst.routes[edge_key("a", "b")] == ("a", "b")
+    assert inst.routes[edge_key("a", "c")] == ("a", "apex_x", "apex_y", "c")
 
 
 def test_random_instance_validates_and_is_deterministic():

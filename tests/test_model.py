@@ -218,7 +218,8 @@ def walk_reference(instance, path):
     """
     walk = [path[0]]
     for u, v in zip(path, path[1:]):
-        walk.extend(instance.route(u, v)[1:])
+        route = instance.routes[edge_key(u, v)]
+        walk.extend((route if route[0] == u else route[::-1])[1:])
     return walk
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import classic_edge_connectivity
 from conftest import (
     disconnected_overlay_instance,
     random_connected_graph,
@@ -19,7 +20,6 @@ from deepconn.model import overlay_path, peer_pairs
 from deepconn.oracles import (
     _max_packing,
     all_pairs,
-    classic_edge_connectivity,
     erdc_pair,
     pddc_pair,
     spddc_pair,
