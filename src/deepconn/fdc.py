@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .model import Edge, Instance, Path, check_pair, edge_key, overlay_path, route_image
+from .model import Edge, Instance, Path, check_pair, edge_key, route_image
 from .simplex import PackingSimplex
 
 ZERO = Fraction(0)
@@ -58,14 +58,6 @@ class FlowResult:
             raise ValidationError("dual infeasible over the full path space")
 
 
-def overlay_weights(instance: Instance, y: dict[Edge, Fraction]) -> dict[Edge, Fraction]:
-    """w(e) = total dual mass on the route implementing overlay edge e."""
-    return {
-        e: sum((y.get(g, 0) for g in instance.route_support(*e)), 0)
-        for e in instance.overlay_edges
-    }
-
-
 def separation_oracle(
     instance: Instance, s: str, t: str, y: dict[Edge, Fraction]
 ) -> Path | None:
@@ -87,8 +79,14 @@ def separation_oracle(
         raise ValidationError("dual weights must be nonnegative")
     scale = math.lcm(*(v.denominator for v in y.values()))
     n = len(instance.peers)
-    scaled = {e: v.numerator * (scale // v.denominator) for e, v in y.items()}
-    w = {e: x * n + 1 for e, x in overlay_weights(instance, scaled).items()}
+    # Each G-edge g in y's support adds its scaled mass to the overlay edges
+    # routed through it.
+    kill = instance.kill_sets
+    w = dict.fromkeys(instance.overlay_edges, 1)
+    for g, v in y.items():
+        x = v.numerator * (scale // v.denominator) * n
+        for f in kill.get(g, ()):
+            w[f] += x
 
     # Dijkstra from t; dist[v] = cheapest (v,t) overlay distance.
     dist: dict[str, int] = {t: 0}
@@ -118,9 +116,10 @@ def separation_oracle(
 
 def fdc_pair(instance: Instance, s: str, t: str) -> FlowResult:
     """Exact flow value between two peers with primal/dual certificates."""
-    check_pair(instance, s, t)
-    seed = overlay_path(instance, s, t)
-    if seed is None:
+    # The first column is the oracle's path under a zero dual: the
+    # lexicographically first fewest-hop path.
+    violated = separation_oracle(instance, s, t, {})
+    if violated is None:
         return FlowResult(ZERO, {}, {}, [])
 
     # Fix the row set once so the program only ever grows by columns and the
@@ -131,7 +130,6 @@ def fdc_pair(instance: Instance, s: str, t: str) -> FlowResult:
 
     generated: list[Path] = []
     seen: set[Path] = set()
-    violated: Path | None = seed
     while violated is not None:
         assert violated not in seen, "oracle returned an already generated path"
         seen.add(violated)

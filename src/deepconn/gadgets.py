@@ -9,12 +9,11 @@ properties can be audited exactly.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ValidationError
-from .model import Instance, build_instance, connected, edge_key
+from .model import Instance, build_instance, connected, edge_key, shortest_path
 
 APEX_X = "apex_x"
 APEX_Y = "apex_y"
@@ -259,29 +258,10 @@ def random_instance(
             pair = edge_key(u, v)
             overlay.append(pair)
             if route_policy == "shortest_path":
-                routes[pair] = _lex_shortest_path(adj, u, v)
+                routes[pair] = shortest_path(adj.__getitem__, u, v)
             else:
                 routes[pair] = _random_simple_path(adj, u, v, rng)
     return build_instance(nodes, edges, peers, overlay, routes)
-
-
-def _lex_shortest_path(adj, s, t) -> tuple[str, ...]:
-    """Lexicographically smallest among the BFS-shortest (s,t)-paths."""
-    dist = {t: 0}
-    queue = deque([t])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    path = [s]
-    while path[-1] != t:
-        u = path[-1]
-        path.append(
-            min(v for v in adj[u] if dist.get(v, -1) == dist[u] - 1)
-        )
-    return tuple(path)
 
 
 def _random_simple_path(adj, s, t, rng) -> tuple[str, ...]:

@@ -4,9 +4,9 @@ An instance bundles an undirected simple connected graph G, a peer set P,
 a symmetric routing scheme rho (unordered peer pair -> simple path in G) and
 an overlay graph H on P.  Instances are immutable after validation and every
 operation here is a pure function.  Because an instance never changes, its
-indexes (the sorted overlay adjacency, the G-edge support of each route and
-the kill set of each G-edge) are built once, on first use, and shared by
-every solver.
+indexes are built once and shared by every solver: the G-edge support of
+each route while the routes are validated, the sorted overlay adjacency and
+the kill set of each G-edge on first use.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ class Instance:
     """A validated (G, P, rho, H) bundle.
 
     ``routes`` is a read-only map from the canonical unordered pair to the
-    route path, oriented so that it starts at the smaller endpoint.
-    ``total`` is True when every unordered pair of distinct peers has a route.
+    route path, oriented so that it starts at the smaller endpoint, and
+    ``supports`` a read-only map from the same pairs to the canonical G-edges
+    of their routes.  ``total`` is True when every unordered pair of distinct
+    peers has a route.
     """
 
     nodes: tuple[str, ...]
@@ -50,6 +52,7 @@ class Instance:
     peers: tuple[str, ...]
     overlay_edges: frozenset[Edge]
     routes: Mapping[Edge, Path]
+    supports: Mapping[Edge, frozenset[Edge]]
     total: bool = field(default=False)
 
     # -- indexes, built once on first use -----------------------------------
@@ -63,13 +66,6 @@ class Instance:
         return {u: tuple(sorted(vs)) for u, vs in adj.items()}
 
     @cached_property
-    def _supports(self) -> dict[Edge, frozenset[Edge]]:
-        return {
-            pair: frozenset(edge_key(a, b) for a, b in zip(path, path[1:]))
-            for pair, path in self.routes.items()
-        }
-
-    @cached_property
     def kill_sets(self) -> Mapping[Edge, frozenset[Edge]]:
         """G-edge -> the overlay edges routed through it, in edge order.
 
@@ -77,7 +73,7 @@ class Instance:
         """
         kill: dict[Edge, set[Edge]] = {}
         for f in self.overlay_edges:
-            for e in self._supports[f]:
+            for e in self.supports[f]:
                 kill.setdefault(e, set()).add(f)
         return MappingProxyType({e: frozenset(kill[e]) for e in sorted(kill)})
 
@@ -85,7 +81,7 @@ class Instance:
         return self._h_adjacency.get(u, ())
 
     def route_support(self, u: str, v: str) -> frozenset[Edge]:
-        return self._supports[edge_key(u, v)]
+        return self.supports[edge_key(u, v)]
 
 
 def connected(nodes, adj) -> bool:
@@ -116,10 +112,15 @@ def peer_pairs(instance: Instance):
     return combinations(sorted(instance.peers), 2)
 
 
-def overlay_path(instance: Instance, s: str, t: str, dead=frozenset()) -> Path | None:
-    """A fewest-hop overlay (s,t)-path avoiding the overlay edges in dead.
+def shortest_path(neighbors, s: str, t: str, dead=frozenset()) -> Path | None:
+    """The lexicographically first fewest-hop (s,t)-path avoiding the edges
+    in dead (canonical keys); None when t is unreachable.
 
-    Breadth-first search in neighbor order; None when t is unreachable.
+    ``neighbors(u)`` lists u's neighbours in sorted order.  Breadth-first
+    search from s then reaches the vertices of each layer in the order of
+    their lexicographically first shortest paths, so the vertex that first
+    reaches v lies on v's lexicographically first shortest path, and the
+    chain of first discoverers back from t is t's.
     """
     prev: dict[str, str] = {s: s}
     queue = deque([s])
@@ -130,7 +131,7 @@ def overlay_path(instance: Instance, s: str, t: str, dead=frozenset()) -> Path |
             while path[-1] != s:
                 path.append(prev[path[-1]])
             return tuple(reversed(path))
-        for v in instance.h_neighbors(u):
+        for v in neighbors(u):
             if v not in prev and edge_key(u, v) not in dead:
                 prev[v] = u
                 queue.append(v)
@@ -191,8 +192,11 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
     if len(peers) < 2:
         raise ValidationError("fewer than two peers")
 
-    arcs = canon_edges | {(v, u) for u, v in canon_edges}
+    # Both orientations of every G-edge -> its canonical key.
+    keys = {(v, u): (u, v) for u, v in canon_edges}
+    keys.update((e, e) for e in canon_edges)
     canon_routes: dict[Edge, Path] = {}
+    supports: dict[Edge, frozenset[Edge]] = {}
     for pair, path in routes.items():
         u, v = pair
         key = edge_key(u, v)
@@ -206,12 +210,15 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
             raise ValidationError(f"route endpoints {key} are not peers")
         if len(path_set) != len(path):
             raise ValidationError("route not vertex-simple")
-        if not arcs.issuperset(zip(path, path[1:])):
-            a, b = next(h for h in zip(path, path[1:]) if h not in arcs)
-            raise ValidationError(f"route for {key} uses non-edge ({a},{b})")
+        try:
+            support = frozenset([keys[hop] for hop in zip(path, path[1:])])
+        except KeyError as exc:
+            a, b = exc.args[0]
+            raise ValidationError(f"route for {key} uses non-edge ({a},{b})") from None
         if key in canon_routes:
             raise ValidationError(f"duplicate route for pair {key}")
         canon_routes[key] = path if path[0] == key[0] else tuple(reversed(path))
+        supports[key] = support
 
     canon_overlay = set()
     for u, v in overlay_edges:
@@ -235,6 +242,7 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
         peers=peers,
         overlay_edges=frozenset(canon_overlay),
         routes=MappingProxyType(canon_routes),
+        supports=MappingProxyType(supports),
         total=len(canon_routes) == n_peer_pairs,
     )
 
@@ -250,6 +258,9 @@ def parse_instance(text: str) -> Instance:
         raise FormatError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        # json's decoder recurses once per nesting level.
+        raise FormatError("document nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError("document root must be an object")
     for key in ("nodes", "edges", "peers", "overlay_edges", "routes"):

@@ -21,8 +21,8 @@ from .model import (
     enumerate_simple_paths,
     image_support,
     is_simple_concatenation,
-    overlay_path,
     peer_pairs,
+    shortest_path,
 )
 
 DEFAULT_CUT_BUDGET = 1 << 20
@@ -59,7 +59,7 @@ class PathPacking:
 
 def _cut_disconnects(instance: Instance, cut, s: str, t: str) -> bool:
     dead = set().union(*(instance.kill_sets.get(e, ()) for e in cut))
-    return overlay_path(instance, s, t, dead) is None
+    return shortest_path(instance.h_neighbors, s, t, dead) is None
 
 
 def erdc_pair(
@@ -108,7 +108,7 @@ def erdc_pair(
     # its image, so the seed paths have pairwise disjoint images and every
     # cut needs one G-edge per seed path.
     dead: set[Edge] = set()
-    while (path := overlay_path(instance, s, t, dead)) is not None:
+    while (path := shortest_path(instance.h_neighbors, s, t, dead)) is not None:
         learn(path)
         for u, v in zip(path, path[1:]):
             for e in instance.route_support(u, v):
@@ -131,7 +131,7 @@ def erdc_pair(
             if hit != family:
                 continue
             dead = set().union(*(kill[candidates[c]] for c in subset))
-            path = overlay_path(instance, s, t, dead)
+            path = shortest_path(instance.h_neighbors, s, t, dead)
             if path is None:
                 return size, CutCertificate(frozenset(candidates[c] for c in subset))
             learn(path)

@@ -104,7 +104,7 @@ def tracked_state(instance: Instance, overlay, tree) -> AugmentationState:
 
 def _state(instance: Instance, overlay: set[Edge], tree: set[Edge]) -> AugmentationState:
     """The state of canonical overlay and tree edge sets on a total instance."""
-    supports = {p: instance.route_support(*p) for p in peer_pairs(instance)}
+    supports = instance.supports  # keyed by exactly the peer pairs
     stray = (overlay | tree).difference(supports)
     if stray:
         raise ValidationError(f"edge {min(stray)} is not a pair of distinct peers")

@@ -47,6 +47,35 @@ def separation_reference(instance, s, t, y):
     return best[2] if best is not None and best[0] < 1 else None
 
 
+def lex_shortest_path(adj, s, t, dead=frozenset()):
+    """Lexicographically smallest among the fewest-hop (s,t)-paths over the
+    sorted adjacency adj, avoiding the edges in dead: a breadth-first search
+    from t, then a walk from s that takes the smallest neighbour one hop
+    closer at each step.  None when t is unreachable.
+    """
+    dist = {t: 0}
+    queue = deque([t])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in dist and edge_key(u, v) not in dead:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    if s not in dist:
+        return None
+    path = [s]
+    while path[-1] != t:
+        u = path[-1]
+        path.append(
+            min(
+                v
+                for v in adj[u]
+                if dist.get(v, -1) == dist[u] - 1 and edge_key(u, v) not in dead
+            )
+        )
+    return tuple(path)
+
+
 def set_packing_brute_force(system: SetSystem, k: int, budget: int = 1_000_000) -> bool:
     """True iff k pairwise disjoint sets exist; exhaustive search."""
     if k < 1:

@@ -145,6 +145,14 @@ def test_malformed_document(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_deeply_nested_document(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "validate", "-i", str(path))
+    assert code == 2 and out == ""
+    assert err == "error FORMAT: document nested too deeply\n"
+
+
 def test_invalid_document(tmp_path, capsys):
     doc = {
         "nodes": ["a", "b"],

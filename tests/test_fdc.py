@@ -11,14 +11,15 @@ from brute_force import classic_edge_connectivity, separation_reference
 from conftest import disconnected_overlay_instance, random_connected_graph, subsample_overlay
 from deepconn import fixtures
 from deepconn.errors import ValidationError
-from deepconn.fdc import (
-    fdc_pair,
-    format_rational,
-    overlay_weights,
-    separation_oracle,
-)
+from deepconn.fdc import fdc_pair, format_rational, separation_oracle
 from deepconn.gadgets import ROUTE_POLICIES, random_instance
-from deepconn.model import build_instance, edge_key, peer_pairs
+from deepconn.model import (
+    build_instance,
+    edge_key,
+    peer_pairs,
+    route_image,
+    shortest_path,
+)
 from deepconn.oracles import all_pairs
 
 
@@ -40,10 +41,9 @@ def test_oracle_half_weights_tight(fig1):
         edge_key("U3", "U4"): Fraction(1, 2),
     }
     # Each of the three (S,T) routes crosses exactly two weighted edges.
-    w = overlay_weights(fig1, y)
     for mid in (("U1", "U4"), ("M1", "M4"), ("D1", "D4")):
-        hops = [edge_key("S", mid[0]), edge_key(*mid), edge_key(mid[1], "T")]
-        assert sum((w[h] for h in hops), Fraction(0)) == 1
+        image = route_image(fig1, ("S", *mid, "T"))
+        assert sum((m * y.get(e, 0) for e, m in image.items()), Fraction(0)) == 1
     assert separation_oracle(fig1, "S", "T", y) is None
 
 
@@ -84,6 +84,8 @@ def test_oracle_matches_reference(seed, n_nodes, keep, policy, duals):
     y = dict(zip(sorted(inst.edges), duals))
     for s, t in peer_pairs(inst):
         assert separation_oracle(inst, s, t, y) == separation_reference(inst, s, t, y)
+        # fdc_pair's first column.
+        assert separation_oracle(inst, s, t, {}) == shortest_path(inst.h_neighbors, s, t)
 
 
 def test_fdc_fig1(fig1):

@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import random
+import re
 import string
 from collections import Counter
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import lex_shortest_path
 from conftest import disconnected_overlay_instance, subsample_overlay
 from deepconn import fixtures
 from deepconn.errors import BudgetExceededError, DeepConnError, FormatError, ValidationError
@@ -23,6 +25,7 @@ from deepconn.model import (
     peer_pairs,
     route_image,
     serialize_instance,
+    shortest_path,
 )
 
 
@@ -36,16 +39,38 @@ def test_fig1_counts(fig1):
     assert not fig1.total
 
 
-def test_parse_rejects_non_simple_route():
-    doc = {
-        "nodes": ["U1", "M1", "U4"],
-        "edges": [["U1", "M1"], ["M1", "U4"]],
-        "peers": ["U1", "U4"],
-        "overlay_edges": [["U1", "U4"]],
-        "routes": [{"pair": ["U1", "U4"], "path": ["U1", "M1", "M1", "U4"]}],
-    }
-    with pytest.raises(ValidationError, match="route not vertex-simple"):
-        parse_instance(json.dumps(doc))
+@pytest.mark.parametrize(
+    "routes, message",
+    [
+        ({("U1", "U4"): ("U1",)}, "route for ('U1', 'U4') shorter than one edge"),
+        (
+            {("U1", "U4"): ("U1", "M1")},
+            "route for ('U1', 'U4') does not connect its endpoints",
+        ),
+        ({("U1", "M1"): ("U1", "M1")}, "route endpoints ('M1', 'U1') are not peers"),
+        # (M2,U4) is an edge read against its orientation; (M1,M2) is the
+        # first hop that is not an edge.
+        (
+            {("U1", "U4"): ("U1", "M1", "M2", "U4")},
+            "route for ('U1', 'U4') uses non-edge (M1,M2)",
+        ),
+        ({("U1", "U4"): ("U1", "M1", "M1", "U4")}, "route not vertex-simple"),
+        (
+            {("U1", "U4"): ("U1", "M1", "U4"), ("U4", "U1"): ("U4", "M1", "U1")},
+            "duplicate route for pair ('U1', 'U4')",
+        ),
+    ],
+    ids=["short", "endpoints", "not-peers", "non-edge", "not-simple", "duplicate"],
+)
+def test_build_rejects_bad_route(routes, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build_instance(
+            nodes=["U1", "M1", "M2", "U4"],
+            edges=[("U1", "M1"), ("M1", "U4"), ("U4", "M2")],
+            peers=["U1", "U4"],
+            overlay_edges=[],
+            routes=routes,
+        )
 
 
 def test_parse_rejects_disconnected_graph():
@@ -63,6 +88,11 @@ def test_parse_rejects_disconnected_graph():
 def test_parse_reports_syntax_position():
     with pytest.raises(FormatError, match="line 2"):
         parse_instance('{\n"nodes": [}')
+
+
+def test_parse_rejects_deep_nesting():
+    with pytest.raises(FormatError, match="^document nested too deeply$"):
+        parse_instance("[" * 100_000 + "]" * 100_000)
 
 
 def test_route_image_fig1(fig1):
@@ -142,6 +172,28 @@ def test_enumerate_matches_recursive_reference():
         inst = subsample_overlay(rng, full, 0.7)
         for s, t in itertools.permutations(inst.peers, 2):
             assert enumerate_simple_paths(inst, s, t) == enumerate_reference(inst, s, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 9),
+    density=st.floats(0.1, 0.9),
+    dead_share=st.floats(0.0, 0.5),
+)
+def test_shortest_path_matches_reference(seed, n, density, dead_share):
+    rng = random.Random(seed)
+    names = rng.sample(string.ascii_lowercase, n)
+    edges = [e for e in itertools.combinations(sorted(names), 2) if rng.random() < density]
+    adj = {u: [] for u in names}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for u in adj:
+        adj[u].sort()
+    dead = frozenset(e for e in edges if rng.random() < dead_share)
+    for s, t in itertools.permutations(names, 2):
+        assert shortest_path(adj.__getitem__, s, t, dead) == lex_shortest_path(adj, s, t, dead)
 
 
 def test_roundtrip(fig1, shared_edge, triangle):
@@ -306,7 +358,10 @@ def test_indexes_match_their_definitions(seed, n_nodes, keep, policy):
         assert inst.h_neighbors(u) == tuple(
             sorted(v for v in inst.peers if edge_key(u, v) in inst.overlay_edges)
         )
+    # Every random instance routes all peer pairs.
+    assert inst.supports.keys() == inst.routes.keys() == set(peer_pairs(inst))
     for (u, v), path in inst.routes.items():
+        assert inst.supports[(u, v)] == support(path)
         assert inst.route_support(u, v) == inst.route_support(v, u) == support(path)
     kill = {
         e: frozenset(f for f in inst.overlay_edges if e in support(inst.routes[f]))
@@ -315,6 +370,8 @@ def test_indexes_match_their_definitions(seed, n_nodes, keep, policy):
     assert list(inst.kill_sets.items()) == [(e, f) for e, f in kill.items() if f]
     with pytest.raises(TypeError):
         inst.routes[next(iter(inst.routes))] = ("x", "y")
+    with pytest.raises(TypeError):
+        inst.supports[next(iter(inst.supports))] = frozenset()
     with pytest.raises(TypeError):
         inst.kill_sets[next(iter(inst.kill_sets))] = frozenset()
 

@@ -16,7 +16,7 @@ from deepconn import fixtures
 from deepconn.errors import BudgetExceededError, ValidationError
 from deepconn.fdc import fdc_pair
 from deepconn.gadgets import ROUTE_POLICIES, random_instance
-from deepconn.model import overlay_path, peer_pairs
+from deepconn.model import peer_pairs, shortest_path
 from deepconn.oracles import (
     _max_packing,
     all_pairs,
@@ -167,7 +167,7 @@ def erdc_reference(instance, s, t):
                 for f in instance.overlay_edges
                 if instance.route_support(*f).intersection(subset)
             }
-            if overlay_path(instance, s, t, dead) is None:
+            if shortest_path(instance.h_neighbors, s, t, dead) is None:
                 return size, frozenset(subset)
     raise AssertionError("removing every routed edge must disconnect the pair")
 
