@@ -64,6 +64,17 @@ def main(argv=None) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    """A --budget value: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and reused by main."""
@@ -83,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if witness:
             p.add_argument("--witness", action="store_true")
         if budget:
-            p.add_argument("--budget", type=int, default=None)
+            p.add_argument("--budget", type=_budget, default=None)
         p.add_argument("--json", action="store_true")
         return p
 

@@ -5,8 +5,9 @@ a symmetric routing scheme rho (unordered peer pair -> simple path in G) and
 an overlay graph H on P.  Instances are immutable after validation and every
 operation here is a pure function.  Because an instance never changes, its
 indexes are built once and shared by every solver: the G-edge support of
-each route while the routes are validated, the sorted overlay adjacency and
-the kill set of each G-edge on first use.
+each route while the routes are validated; on first use the sorted overlay
+adjacency, the kill set of each G-edge, each route support as an int mask
+and the vertex footprint of each overlay hop.
 """
 
 from __future__ import annotations
@@ -76,6 +77,43 @@ class Instance:
             for e in self.supports[f]:
                 kill.setdefault(e, set()).add(f)
         return MappingProxyType({e: frozenset(kill[e]) for e in sorted(kill)})
+
+    @cached_property
+    def _node_bits(self) -> dict[str, int]:
+        return {u: 1 << i for i, u in enumerate(self.nodes)}
+
+    @cached_property
+    def _footprints(self) -> tuple[dict, dict]:
+        """Two maps, peer u -> (v, footprint) per overlay neighbour v in
+        order, over ``_node_bits``: first with v's bit as the footprint of
+        the hop u -> v, then with its route's vertices other than u, the
+        vertices the hop adds to a walk that has reached u.
+        """
+        bit = self._node_bits
+        peer, walk = {}, {}
+        for u, vs in self._h_adjacency.items():
+            peer[u] = tuple((v, bit[v]) for v in vs)
+            walk[u] = tuple(
+                (v, sum(bit[x] for x in self.routes[edge_key(u, v)]) - bit[u])
+                for v in vs
+            )
+        return peer, walk
+
+    @cached_property
+    def edge_bits(self) -> Mapping[Edge, int]:
+        """G-edge -> its bit in the int masks of supports, in edge order."""
+        return MappingProxyType({e: 1 << i for i, e in enumerate(sorted(self.edges))})
+
+    @cached_property
+    def support_masks(self) -> Mapping[tuple[str, str], int]:
+        """Both orientations of each overlay edge -> the mask of its route
+        support over ``edge_bits``.
+        """
+        bit = self.edge_bits
+        masks = {}
+        for u, v in self.overlay_edges:
+            masks[u, v] = masks[v, u] = sum(bit[e] for e in self.supports[u, v])
+        return MappingProxyType(masks)
 
     def h_neighbors(self, u: str) -> tuple[str, ...]:
         return self._h_adjacency.get(u, ())
@@ -379,23 +417,40 @@ def _check_overlay_path(instance: Instance, path: Path) -> None:
 
 
 def enumerate_simple_paths(
-    instance: Instance, s: str, t: str, cap: int = DEFAULT_PATH_CAP
+    instance: Instance,
+    s: str,
+    t: str,
+    cap: int = DEFAULT_PATH_CAP,
+    walk_simple: bool = False,
 ) -> list[Path]:
-    """All vertex-simple (s,t)-paths of H in lexicographic order.
+    """All vertex-simple (s,t)-paths of H in lexicographic order; with
+    ``walk_simple``, only those whose concatenated walk in G is simple.
 
-    Raises BudgetExceededError when more than ``cap`` paths exist.
+    The search carries an int mask of the vertices used so far: the peers
+    on the stack, or with ``walk_simple`` the G-vertices of the walk.  It
+    skips a hop u -> v whose footprint meets that mask: v's bit, or the
+    vertices of v's route from u other than u.  A walk is simple iff each
+    hop adds only fresh vertices, so every prefix of a simple walk is
+    simple, and a skipped prefix has no simply implemented extension; a
+    hop's footprint holds v, so the walk-simple paths are vertex-simple.
+    The list is therefore the vertex-simple paths for which
+    ``is_simple_concatenation`` holds, in the same order.
+
+    Raises BudgetExceededError when more than ``cap`` paths are listed.
     """
     if s == t or s not in instance.peers or t not in instance.peers:
         raise ValidationError("endpoints must be distinct peers")
+    hops = instance._footprints[walk_simple]
     out: list[Path] = []
     stack = [s]
-    on_stack = {s}
-    # One neighbor iterator per vertex on the stack: the depth-first order
-    # of a recursive search, without its depth limit.
-    frontier = [iter(instance.h_neighbors(s))]
+    used = instance._node_bits[s]
+    added = [used]  # the footprint each vertex on the stack added
+    # One hop iterator per vertex on the stack: the depth-first order of a
+    # recursive search, without its depth limit.
+    frontier = [iter(hops[s])]
     while frontier:
-        for v in frontier[-1]:
-            if v in on_stack:
+        for v, footprint in frontier[-1]:
+            if footprint & used:
                 continue
             if v == t:
                 out.append((*stack, t))
@@ -405,10 +460,12 @@ def enumerate_simple_paths(
                     )
                 continue
             stack.append(v)
-            on_stack.add(v)
-            frontier.append(iter(instance.h_neighbors(v)))
+            used |= footprint
+            added.append(footprint)
+            frontier.append(iter(hops[v]))
             break
         else:
             frontier.pop()
-            on_stack.remove(stack.pop())
+            stack.pop()
+            used ^= added.pop()
     return out

@@ -191,27 +191,27 @@ def _packing(
     """Maximum packing of overlay paths with pairwise disjoint images.
 
     Each image support is an int mask over G-edges, the union of the route
-    supports of the path's hops.
+    support masks of the path's hops.
     """
-    bits: dict[Edge, int] = {}
-    hops: dict[Edge, int] = {}
+    chosen = _max_packing(
+        _image_masks(instance, paths),
+        sum(bit for e, bit in instance.edge_bits.items() if s in e),
+        sum(bit for e, bit in instance.edge_bits.items() if t in e),
+        budget,
+    )
+    return len(chosen), PathPacking([paths[i] for i in chosen])
+
+
+def _image_masks(instance: Instance, paths: list[Path]) -> list[int]:
+    """The image support of each path as a mask over ``instance.edge_bits``."""
+    hop = instance.support_masks
     masks = []
     for path in paths:
         mask = 0
-        for u, v in zip(path, path[1:]):
-            key = edge_key(u, v)
-            hop = hops.get(key)
-            if hop is None:
-                hop = 0
-                for e in instance.route_support(u, v):
-                    hop |= bits.setdefault(e, 1 << len(bits))
-                hops[key] = hop
-            mask |= hop
+        for step in zip(path, path[1:]):
+            mask |= hop[step]
         masks.append(mask)
-    s_edges = sum(bit for e, bit in bits.items() if s in e)
-    t_edges = sum(bit for e, bit in bits.items() if t in e)
-    chosen = _max_packing(masks, s_edges, t_edges, budget)
-    return len(chosen), PathPacking([paths[i] for i in chosen])
+    return masks
 
 
 def pddc_pair(
@@ -234,11 +234,7 @@ def spddc_pair(
 ) -> tuple[int, PathPacking]:
     """As pddc_pair, restricted to paths whose concatenated walk is simple."""
     check_pair(instance, s, t)
-    paths = [
-        p
-        for p in enumerate_simple_paths(instance, s, t)
-        if is_simple_concatenation(instance, p)
-    ]
+    paths = enumerate_simple_paths(instance, s, t, walk_simple=True)
     return _packing(instance, s, t, paths, budget)
 
 

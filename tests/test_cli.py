@@ -17,6 +17,7 @@ from deepconn.sparsifier import check_precondition
 
 EIGHT_PEERS = Path(__file__).parent / "data" / "eight_peers.json"
 FORTY_NODES = Path(__file__).parent / "data" / "forty_nodes.json"
+TEN_PEERS = Path(__file__).parent / "data" / "ten_peers.json"
 
 
 @pytest.fixture()
@@ -103,6 +104,21 @@ def test_eight_peer_pair(capsys, verb):
         assert len(paths) == 5
         assert all(p[0] == "n01" and p[-1] == "n11" for p in paths)
         PathPacking(paths).validate(instance, simple_only=verb == "spddc")
+
+
+def test_ten_peer_spddc_pair(capsys):
+    # dcbench random_doc(32000, 14, 10, 0.5, "shortest_path"): 14 nodes,
+    # 10 peers, complete overlay.  Over 100,000 vertex-simple overlay paths
+    # join n00 and n11, so a search that filters them exits BUDGET; fewer
+    # than 3,000 are simply implemented.
+    code, out, err = run(
+        capsys, "spddc", "-i", str(TEN_PEERS), "--pair", "n00", "n11", "--witness", "--json"
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["value"] == 5
+    paths = [tuple(p) for p in report["witness"]["paths"]]
+    PathPacking(paths).validate(parse_instance(TEN_PEERS.read_text()), simple_only=True)
 
 
 def test_forty_node_fdc_pair(capsys):
@@ -411,8 +427,25 @@ def test_budget_rejected_where_unused(fig1_path, capsys, argv):
 
 def test_budget_honoured_by_search_verbs(fig1_path, capsys):
     for verb in ("erdc", "pddc", "spddc"):
-        code, _, err = run(capsys, verb, "-i", fig1_path, "--all-pairs", "--budget", "1")
-        assert code == 1 and err.startswith("error BUDGET:")
+        for budget in ("1", "0"):
+            code, _, err = run(
+                capsys, verb, "-i", fig1_path, "--all-pairs", "--budget", budget
+            )
+            assert code == 1 and err.startswith("error BUDGET:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["erdc", "--pair", "S", "T", "--budget", "-5"],
+        ["pddc", "--pair", "S", "T", "--budget", "-1"],
+        ["spddc", "--pair", "S", "T", "--budget", "-1"],
+    ],
+)
+def test_negative_budget_is_usage_error(fig1_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "-i", fig1_path)
+    assert code == 2 and out == ""
+    assert f"argument --budget: expected an integer >= 0, got '{argv[-1]}'" in err
 
 
 def test_parser_reused_across_verbs(fig1_path, capsys):

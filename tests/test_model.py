@@ -27,6 +27,7 @@ from deepconn.model import (
     serialize_instance,
     shortest_path,
 )
+from deepconn.oracles import _image_masks
 
 
 def test_fig1_counts(fig1):
@@ -145,6 +146,16 @@ def test_enumerate_cap(triangle):
         enumerate_simple_paths(triangle, "a", "b", cap=1)
 
 
+def test_cap_counts_listed_paths(fig1):
+    # Four vertex-simple overlay paths join D1 and M1; one is simply
+    # implemented.
+    assert len(enumerate_simple_paths(fig1, "D1", "M1", cap=1, walk_simple=True)) == 1
+    with pytest.raises(BudgetExceededError):
+        enumerate_simple_paths(fig1, "D1", "M1", cap=1)
+    with pytest.raises(BudgetExceededError):
+        enumerate_simple_paths(fig1, "D1", "M1", cap=0, walk_simple=True)
+
+
 def enumerate_reference(instance, s, t):
     """The recursive search that enumerate_simple_paths replaced."""
     out, stack = [], [s]
@@ -172,6 +183,31 @@ def test_enumerate_matches_recursive_reference():
         inst = subsample_overlay(rng, full, 0.7)
         for s, t in itertools.permutations(inst.peers, 2):
             assert enumerate_simple_paths(inst, s, t) == enumerate_reference(inst, s, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_nodes=st.integers(2, 9),
+    keep=st.floats(0.3, 1.0),
+    policy=st.sampled_from(ROUTE_POLICIES),
+)
+def test_walk_simple_enumeration_is_the_filtered_one(seed, n_nodes, keep, policy):
+    """The pruned search lists exactly the vertex-simple paths that pass
+    is_simple_concatenation, in the same order, and the packing's image
+    masks hold exactly the edges of image_support.
+    """
+    rng = random.Random(seed)
+    peers = rng.randint(2, min(n_nodes, 6))
+    inst = subsample_overlay(rng, random_instance(n_nodes, peers, 0.5, policy, seed=seed), keep)
+    for s, t in itertools.permutations(inst.peers, 2):
+        paths = enumerate_simple_paths(inst, s, t)
+        assert enumerate_simple_paths(inst, s, t, walk_simple=True) == [
+            p for p in paths if is_simple_concatenation(inst, p)
+        ]
+        for path, mask in zip(paths, _image_masks(inst, paths)):
+            edges = {e for e, bit in inst.edge_bits.items() if mask & bit}
+            assert edges == image_support(inst, path)
 
 
 @settings(max_examples=200, deadline=None)
