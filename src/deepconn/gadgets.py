@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ValidationError
-from .model import Instance, build_instance, connected, edge_key, shortest_path
+from .model import Instance, adjacency, build_instance, connected, edge_key, shortest_path
 
 APEX_X = "apex_x"
 APEX_Y = "apex_y"
@@ -240,16 +240,11 @@ def random_instance(
             for u, v in combinations(nodes, 2)
             if rng.random() < edge_probability
         ]
-        adj = {u: [] for u in nodes}
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
+        adj = adjacency(nodes, edges)
         if connected(nodes, adj):
             break
     else:
         raise ValidationError(f"no connected graph within {_GRAPH_ATTEMPTS} attempts")
-    for u in adj:
-        adj[u].sort()
     peers = sorted(rng.sample(nodes, n_peers))
     routes = {}
     overlay = []
@@ -265,21 +260,25 @@ def random_instance(
 
 
 def _random_simple_path(adj, s, t, rng) -> tuple[str, ...]:
-    """Random simple path via randomized depth-first search.
+    """Random simple path: the tree path from s to t of a randomized
+    depth-first search that enters each vertex once.
 
+    A vertex stays visited after the search backs out of it: every
+    unvisited vertex it reached has been entered without finding t, so
+    entering it again cannot either, and the search takes linear time.
     The search keeps one neighbour order per path vertex on an explicit
     stack, each drawn when its vertex is entered, as a recursive search
     would draw it, so a seeded rng gives the same path.
     """
-    path, on_path, orders = [s], {s}, []
+    path, seen, orders = [s], {s}, []
     while path[-1] != t:
         u = path[-1]
         orders.append(iter(rng.sample(adj[u], len(adj[u]))))
-        while (v := next((v for v in orders[-1] if v not in on_path), None)) is None:
+        while (v := next((v for v in orders[-1] if v not in seen), None)) is None:
             orders.pop()
-            on_path.remove(path.pop())
+            path.pop()
             if not orders:
                 raise AssertionError("connected graph must admit a path")
         path.append(v)
-        on_path.add(v)
+        seen.add(v)
     return tuple(path)

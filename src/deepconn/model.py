@@ -60,11 +60,7 @@ class Instance:
 
     @cached_property
     def _h_adjacency(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, list[str]] = {u: [] for u in self.peers}
-        for u, v in self.overlay_edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {u: tuple(sorted(vs)) for u, vs in adj.items()}
+        return {u: tuple(vs) for u, vs in adjacency(self.peers, self.overlay_edges).items()}
 
     @cached_property
     def kill_sets(self) -> Mapping[Edge, frozenset[Edge]]:
@@ -120,6 +116,17 @@ class Instance:
 
     def route_support(self, u: str, v: str) -> frozenset[Edge]:
         return self.supports[edge_key(u, v)]
+
+
+def adjacency(nodes, edges) -> dict[str, list[str]]:
+    """The sorted neighbour list of each node of the graph (nodes, edges)."""
+    adj: dict[str, list[str]] = {u: [] for u in nodes}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for vs in adj.values():
+        vs.sort()
+    return adj
 
 
 def connected(nodes, adj) -> bool:
@@ -214,11 +221,7 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
         canon_edges.add(key)
     canon_edges = frozenset(canon_edges)
 
-    adj: dict[str, list[str]] = {u: [] for u in nodes}
-    for u, v in canon_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    if not connected(nodes, adj):
+    if not connected(nodes, adjacency(nodes, canon_edges)):
         raise ValidationError("underlying graph disconnected")
 
     peers = tuple(peers)
@@ -436,10 +439,10 @@ def enumerate_simple_paths(
     The list is therefore the vertex-simple paths for which
     ``is_simple_concatenation`` holds, in the same order.
 
-    Raises BudgetExceededError when more than ``cap`` paths are listed.
+    Raises ValidationError unless s and t are distinct peers, and
+    BudgetExceededError when more than ``cap`` paths are listed.
     """
-    if s == t or s not in instance.peers or t not in instance.peers:
-        raise ValidationError("endpoints must be distinct peers")
+    check_pair(instance, s, t)
     hops = instance._footprints[walk_simple]
     out: list[Path] = []
     stack = [s]

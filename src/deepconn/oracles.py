@@ -36,7 +36,7 @@ class CutCertificate:
     edges: frozenset[Edge]
 
     def validate(self, instance: Instance, s: str, t: str) -> None:
-        if not _cut_disconnects(instance, self.edges, s, t):
+        if _survivor(instance, self.edges, s, t) is not None:
             raise ValidationError("cut certificate does not disconnect the pair")
 
 
@@ -57,9 +57,13 @@ class PathPacking:
                     raise ValidationError("packing path is not simply implemented")
 
 
-def _cut_disconnects(instance: Instance, cut, s: str, t: str) -> bool:
+def _survivor(instance: Instance, cut, s: str, t: str) -> Path | None:
+    """The overlay (s,t)-path that survives the failure of the G-edges in
+    cut, the lexicographically first fewest-hop one; None when the cut
+    disconnects the pair.
+    """
     dead = set().union(*(instance.kill_sets.get(e, ()) for e in cut))
-    return shortest_path(instance.h_neighbors, s, t, dead) is None
+    return shortest_path(instance.h_neighbors, s, t, dead)
 
 
 def erdc_pair(
@@ -130,10 +134,10 @@ def erdc_pair(
                 hit |= masks[c]
             if hit != family:
                 continue
-            dead = set().union(*(kill[candidates[c]] for c in subset))
-            path = shortest_path(instance.h_neighbors, s, t, dead)
+            cut = [candidates[c] for c in subset]
+            path = _survivor(instance, cut, s, t)
             if path is None:
-                return size, CutCertificate(frozenset(candidates[c] for c in subset))
+                return size, CutCertificate(frozenset(cut))
             learn(path)
     raise AssertionError("removing every routed edge must disconnect the pair")
 
@@ -186,13 +190,15 @@ def _max_packing(
 
 
 def _packing(
-    instance: Instance, s: str, t: str, paths: list[Path], budget: int
+    instance: Instance, s: str, t: str, walk_simple: bool, budget: int
 ) -> tuple[int, PathPacking]:
-    """Maximum packing of overlay paths with pairwise disjoint images.
+    """Maximum packing of overlay (s,t)-paths with pairwise disjoint images,
+    among the paths ``enumerate_simple_paths`` lists with ``walk_simple``.
 
     Each image support is an int mask over G-edges, the union of the route
     support masks of the path's hops.
     """
+    paths = enumerate_simple_paths(instance, s, t, walk_simple=walk_simple)
     chosen = _max_packing(
         _image_masks(instance, paths),
         sum(bit for e, bit in instance.edge_bits.items() if s in e),
@@ -221,9 +227,7 @@ def pddc_pair(
     budget: int = DEFAULT_PACKING_BUDGET,
 ) -> tuple[int, PathPacking]:
     """Maximum number of overlay (s,t)-paths with pairwise disjoint images."""
-    check_pair(instance, s, t)
-    paths = enumerate_simple_paths(instance, s, t)
-    return _packing(instance, s, t, paths, budget)
+    return _packing(instance, s, t, False, budget)
 
 
 def spddc_pair(
@@ -233,9 +237,7 @@ def spddc_pair(
     budget: int = DEFAULT_PACKING_BUDGET,
 ) -> tuple[int, PathPacking]:
     """As pddc_pair, restricted to paths whose concatenated walk is simple."""
-    check_pair(instance, s, t)
-    paths = enumerate_simple_paths(instance, s, t, walk_simple=True)
-    return _packing(instance, s, t, paths, budget)
+    return _packing(instance, s, t, True, budget)
 
 
 _PAIR_OPS = {

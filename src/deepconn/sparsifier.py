@@ -39,31 +39,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, compress
 
 from .errors import PreconditionError, ValidationError
-from .model import Edge, Instance, edge_key, peer_pairs
-
-
-class _DSU:
-    """Union-find over a fixed universe, tracking the component count."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.components = len(self.parent)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        self.components -= 1
-        return True
+from .model import Edge, Instance, adjacency, connected, edge_key, peer_pairs
 
 
 def _require_total(instance: Instance) -> None:
@@ -172,15 +148,14 @@ def compute_kappa(instance: Instance, overlay, tree) -> AugmentationState:
 
 
 def _check_spanning_tree(instance: Instance, tree) -> None:
-    # |P| - 1 peer pairs that close no cycle join all |P| peers.
-    if len(tree) != len(instance.peers) - 1:
+    # |P| - 1 peer pairs join all |P| peers iff they close no cycle.
+    peers = instance.peers
+    if len(tree) != len(peers) - 1:
         raise ValidationError("base tree has wrong edge count")
-    dsu = _DSU(instance.peers)
-    for u, v in tree:
-        if u not in dsu.parent or v not in dsu.parent:
-            raise ValidationError("tree edge endpoint is not a peer")
-        if not dsu.union(u, v):
-            raise ValidationError("base tree contains a cycle")
+    if not set().union(*tree) <= set(peers):
+        raise ValidationError("tree edge endpoint is not a peer")
+    if not connected(peers, adjacency(peers, tree)):
+        raise ValidationError("base tree contains a cycle")
 
 
 def delta(state: AugmentationState, e: Edge) -> int:
@@ -307,22 +282,31 @@ def special_case_construct(nodes, edges) -> frozenset[Edge]:
     underlying edge failure.  Requires a 2-edge-connected graph.
     """
     nodes = list(nodes)
+    edges = list(edges)
+    # Minimum-lexicographic Kruskal tree; each component's member list is
+    # shared by its members, and the smaller list merges into the larger.
+    comp = {x: [x] for x in nodes}
+    for u, v in edges:
+        if u not in comp or v not in comp:
+            raise ValidationError(f"edge ({u},{v}) references unknown node")
     canon = sorted(edge_key(*e) for e in edges)
-    # Minimum-lexicographic Kruskal tree.
-    dsu = _DSU(nodes)
     tree: list[Edge] = []
-    for e in canon:
-        if dsu.union(*e):
-            tree.append(e)
-    if dsu.components != 1:
+    for u, v in canon:
+        small, large = comp[u], comp[v]
+        if small is large:
+            continue
+        if len(small) > len(large):
+            small, large = large, small
+        for x in small:
+            comp[x] = large
+        large.extend(small)
+        tree.append((u, v))
+    if len(tree) != len(comp) - 1:
         raise ValidationError("underlying graph disconnected")
     # Preorder positions from nodes[0]: a child follows its parent, and
     # removing tree edge e cuts off the subtree of its later endpoint, the
     # interval [pos[child], pos[child] + size[child]).
-    adj: dict[str, list[str]] = {x: [] for x in nodes}
-    for u, v in tree:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = adjacency(nodes, tree)
     pos, parent = {}, {}
     stack = [(nodes[0], None)]
     while stack:

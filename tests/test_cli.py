@@ -304,6 +304,24 @@ def test_gen_random_roundtrip(tmp_path, capsys):
     assert len(inst.nodes) == 8 and len(inst.peers) == 4
 
 
+@pytest.mark.parametrize(
+    "nodes, peers, prob, seed", [("29", "9", "0.193", "77"), ("21", "10", "0.302", "94")]
+)
+def test_gen_random_simple_is_linear(tmp_path, capsys, nodes, peers, prob, seed):
+    # A route search that un-marks the vertices it backs out of re-enters
+    # the same dead ends exponentially often and does not finish on these.
+    out_path = tmp_path / "rand.json"
+    code, out, _ = run(
+        capsys, "gen", "random", "--nodes", nodes, "--peers", peers,
+        "--edge-prob", prob, "--policy", "random_simple", "--seed", seed,
+        "-o", str(out_path), "--json",
+    )
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    inst = parse_instance(out_path.read_text())
+    assert len(inst.nodes) == int(nodes) and len(inst.peers) == int(peers)
+    assert inst.total
+
+
 def test_gen_spddc_reduction(tmp_path, capsys):
     out_path = tmp_path / "red.json"
     code, out, _ = run(

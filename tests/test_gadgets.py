@@ -226,7 +226,8 @@ def test_random_instance_parameter_validation():
 
 
 def random_simple_path_reference(adj, s, t, rng):
-    """The recursive randomized depth-first search the generator first used."""
+    """The recursive twin of the generator's randomized depth-first search:
+    a vertex stays visited after the search backs out of it."""
     stack = [s]
     on_stack = {s}
 
@@ -240,7 +241,6 @@ def random_simple_path_reference(adj, s, t, rng):
                 if walk(v):
                     return True
                 stack.pop()
-                on_stack.remove(v)
         return False
 
     assert walk(s)

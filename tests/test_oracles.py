@@ -37,9 +37,9 @@ def test_erdc_minimality_fig1(fig1):
     # No single underlying edge disconnects S from T: exhaustive check.
     for e in sorted(fig1.edges):
         single = frozenset([e])
-        from deepconn.oracles import _cut_disconnects
+        from deepconn.oracles import _survivor
 
-        assert not _cut_disconnects(fig1, single, "S", "T")
+        assert _survivor(fig1, single, "S", "T") is not None
 
 
 def test_erdc_k2(k2):

@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 
 from brute_force import brute_force_augment
 from conftest import random_connected_graph
+import deepconn
 from deepconn import fixtures
 from deepconn.errors import PreconditionError, ValidationError
 from deepconn.gadgets import ROUTE_POLICIES, random_instance
@@ -273,6 +279,58 @@ def test_tree_checks(overlay, tree, message):
             greedy_augment(inst, tree)
 
 
+def test_tree_check_error_is_the_same_under_every_hash_seed():
+    # The tree is a set, so the order of its edges follows the hash seed.
+    # This tree has both a cycle and a stray endpoint; the check must name
+    # the endpoint whatever the order.
+    code = textwrap.dedent(
+        """
+        import itertools
+        from deepconn import fixtures
+        from deepconn.errors import ValidationError
+        from deepconn.sparsifier import greedy_augment
+        k5 = list(itertools.combinations("abcde", 2))
+        inst = fixtures.identity_instance(list("abcde"), k5)
+        try:
+            greedy_augment(inst, [("a", "b"), ("b", "c"), ("a", "c"), ("d", "zz")])
+        except ValidationError as exc:
+            print(exc)
+        """
+    )
+    src = str(Path(deepconn.__file__).resolve().parents[1])
+    messages = set()
+    for hash_seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        messages.add(proc.stdout)
+    assert messages == {"tree edge endpoint is not a peer\n"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 7), data=st.data())
+def test_tree_check_matches_networkx(n, data):
+    peers = [f"p{i}" for i in range(n)]
+    pairs = list(itertools.combinations(peers, 2))
+    inst = fixtures.identity_instance(peers, pairs)
+    tree = data.draw(
+        st.lists(st.sampled_from(pairs), min_size=n - 1, max_size=n - 1, unique=True)
+    )
+    stray = data.draw(st.booleans())
+    if stray:
+        tree[data.draw(st.integers(0, n - 2))] = (data.draw(st.sampled_from(peers)), "zz")
+    graph = nx.Graph(tree)
+    graph.add_nodes_from(peers)
+    if not stray and nx.is_tree(graph):
+        compute_kappa(inst, tree, tree)
+        return
+    message = "tree edge endpoint is not a peer" if stray else "base tree contains a cycle"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        compute_kappa(inst, tree, tree)
+
+
 def test_compute_kappa_tree():
     inst = three_cycle()
     state = compute_kappa(inst, [("a", "b"), ("b", "c")], [("a", "b"), ("b", "c")])
@@ -462,6 +520,11 @@ def test_special_case_k4():
     assert len(overlay) <= 6
     inst = build_instance(nodes, edges, nodes, overlay, {e: e for e in overlay})
     assert all_pairs(inst, "erdc")[0] >= 2
+
+
+def test_special_case_unknown_node():
+    with pytest.raises(ValidationError, match=r"^edge \(c,zz\) references unknown node$"):
+        special_case_construct(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "zz")])
 
 
 def test_special_case_bridge():
