@@ -27,7 +27,6 @@ from .model import (
     build_instance,
     edge_key,
     enumerate_simple_paths,
-    image_support,
     is_simple_concatenation,
     parse_instance,
     route_image,
@@ -52,7 +51,6 @@ from .sparsifier import (
     sparsified_instance,
     special_case_construct,
     star_tree,
-    tracked_state,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

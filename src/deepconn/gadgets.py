@@ -198,17 +198,11 @@ def build_hamiltonian_reduction(g0_nodes, g0_edges) -> Instance:
     for v in g0_nodes:
         edges.append(edge_key(v, APEX_X))
         edges.append(edge_key(v, APEX_Y))
-    routes = {}
-    overlay = []
-    ordered = sorted(g0_nodes)
-    for i, u in enumerate(ordered):
-        for v in ordered[i + 1 :]:
-            pair = edge_key(u, v)
-            overlay.append(pair)
-            if pair in g0_set:
-                routes[pair] = pair
-            else:
-                routes[pair] = (u, APEX_X, APEX_Y, v)
+    overlay = list(combinations(sorted(g0_nodes), 2))
+    routes = {
+        pair: pair if pair in g0_set else (pair[0], APEX_X, APEX_Y, pair[1])
+        for pair in overlay
+    }
     return build_instance(nodes, edges, g0_nodes, overlay, routes)
 
 
@@ -246,16 +240,11 @@ def random_instance(
     else:
         raise ValidationError(f"no connected graph within {_GRAPH_ATTEMPTS} attempts")
     peers = sorted(rng.sample(nodes, n_peers))
-    routes = {}
-    overlay = []
-    for i, u in enumerate(peers):
-        for v in peers[i + 1 :]:
-            pair = edge_key(u, v)
-            overlay.append(pair)
-            if route_policy == "shortest_path":
-                routes[pair] = shortest_path(adj.__getitem__, u, v)
-            else:
-                routes[pair] = _random_simple_path(adj, u, v, rng)
+    overlay = list(combinations(peers, 2))
+    if route_policy == "shortest_path":
+        routes = {pair: shortest_path(adj.__getitem__, *pair) for pair in overlay}
+    else:
+        routes = {pair: _random_simple_path(adj, *pair, rng) for pair in overlay}
     return build_instance(nodes, edges, peers, overlay, routes)
 
 

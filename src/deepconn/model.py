@@ -391,11 +391,6 @@ def route_image(instance: Instance, path: Path) -> Counter:
     return counts
 
 
-def image_support(instance: Instance, path: Path) -> frozenset[Edge]:
-    """The set of G-edges used by an overlay path's implementation."""
-    return frozenset(route_image(instance, path))
-
-
 def is_simple_concatenation(instance: Instance, path: Path) -> bool:
     """True iff the concatenated walk in G visits no vertex twice.
 
@@ -420,11 +415,7 @@ def _check_overlay_path(instance: Instance, path: Path) -> None:
 
 
 def enumerate_simple_paths(
-    instance: Instance,
-    s: str,
-    t: str,
-    cap: int = DEFAULT_PATH_CAP,
-    walk_simple: bool = False,
+    instance: Instance, s: str, t: str, walk_simple: bool = False
 ) -> list[Path]:
     """All vertex-simple (s,t)-paths of H in lexicographic order; with
     ``walk_simple``, only those whose concatenated walk in G is simple.
@@ -440,9 +431,10 @@ def enumerate_simple_paths(
     ``is_simple_concatenation`` holds, in the same order.
 
     Raises ValidationError unless s and t are distinct peers, and
-    BudgetExceededError when more than ``cap`` paths are listed.
+    BudgetExceededError when more than ``DEFAULT_PATH_CAP`` paths are listed.
     """
     check_pair(instance, s, t)
+    cap = DEFAULT_PATH_CAP
     hops = instance._footprints[walk_simple]
     out: list[Path] = []
     stack = [s]

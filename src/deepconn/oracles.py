@@ -19,9 +19,9 @@ from .model import (
     check_pair,
     edge_key,
     enumerate_simple_paths,
-    image_support,
     is_simple_concatenation,
     peer_pairs,
+    route_image,
     shortest_path,
 )
 
@@ -36,6 +36,7 @@ class CutCertificate:
     edges: frozenset[Edge]
 
     def validate(self, instance: Instance, s: str, t: str) -> None:
+        check_pair(instance, s, t)
         if _survivor(instance, self.edges, s, t) is not None:
             raise ValidationError("cut certificate does not disconnect the pair")
 
@@ -46,8 +47,13 @@ class PathPacking:
 
     paths: list[Path]
 
-    def validate(self, instance: Instance, simple_only: bool = False) -> None:
-        supports = [image_support(instance, p) for p in self.paths]
+    def validate(
+        self, instance: Instance, s: str, t: str, simple_only: bool = False
+    ) -> None:
+        check_pair(instance, s, t)
+        supports = [frozenset(route_image(instance, p)) for p in self.paths]
+        if any(p[0] != s or p[-1] != t for p in self.paths):
+            raise ValidationError(f"packing path does not join {s} and {t}")
         for a, b in combinations(supports, 2):
             if a & b:
                 raise ValidationError("packing images intersect")

@@ -42,11 +42,6 @@ from .errors import PreconditionError, ValidationError
 from .model import Edge, Instance, adjacency, connected, edge_key, peer_pairs
 
 
-def _require_total(instance: Instance) -> None:
-    if not instance.total:
-        raise ValidationError("sparsifier requires a total routing scheme")
-
-
 @dataclass
 class AugmentationState:
     """Mutable greedy state: per-pair separation masks over the tracked edges.
@@ -58,7 +53,6 @@ class AugmentationState:
     in different components and ``tracked[i]`` is not on p's route.
     """
 
-    instance: Instance
     overlay: set[Edge]
     tracked: tuple[Edge, ...]
     sep: dict[Edge, int]
@@ -70,18 +64,19 @@ class AugmentationState:
         return sum(self.kappa_i)
 
 
-def tracked_state(instance: Instance, overlay, tree) -> AugmentationState:
-    """State for an arbitrary overlay edge set (not necessarily containing
-    the tree); the tree argument only fixes the tracked underlying edges.
+def compute_kappa(instance: Instance, overlay, tree) -> AugmentationState:
+    """Distance of the overlay from 2-survivability, tracked against the
+    routes of a spanning tree of peer pairs.  The overlay is any set of peer
+    pairs; it need not contain the tree.
     """
-    _require_total(instance)
-    return _state(instance, {edge_key(*e) for e in overlay}, {edge_key(*e) for e in tree})
-
-
-def _state(instance: Instance, overlay: set[Edge], tree: set[Edge]) -> AugmentationState:
-    """The state of canonical overlay and tree edge sets on a total instance."""
+    if not instance.total:
+        raise ValidationError("sparsifier requires a total routing scheme")
+    overlay = {edge_key(*e) for e in overlay}
+    tree = {edge_key(*e) for e in tree}
+    _check_spanning_tree(instance, tree)
     supports = instance.supports  # keyed by exactly the peer pairs
-    stray = (overlay | tree).difference(supports)
+    # A spanning tree holds only peer pairs, so only the overlay can stray.
+    stray = overlay.difference(supports)
     if stray:
         raise ValidationError(f"edge {min(stray)} is not a pair of distinct peers")
     tracked = tuple(sorted(set().union(*(supports[e] for e in tree))))
@@ -94,10 +89,11 @@ def _state(instance: Instance, overlay: set[Edge], tree: set[Edge]) -> Augmentat
             if e in index:
                 mask |= 1 << index[e]
         on_route[p] = mask
-    adjacency: dict[str, list[tuple[str, int]]] = {x: [] for x in instance.peers}
+    # Each peer's overlay neighbours, with the on_route mask of the edge.
+    hops: dict[str, list[tuple[str, int]]] = {x: [] for x in instance.peers}
     for u, v in overlay:
-        adjacency[u].append((v, on_route[(u, v)]))
-        adjacency[v].append((u, on_route[(u, v)]))
+        hops[u].append((v, on_route[(u, v)]))
+        hops[v].append((u, on_route[(u, v)]))
     sep = dict.fromkeys(supports, 0)
     components = []
     kappa_i = []
@@ -112,7 +108,7 @@ def _state(instance: Instance, overlay: set[Edge], tree: set[Edge]) -> Augmentat
             group = [x]
             comp[x] = group
             for y in group:
-                for z, mask in adjacency[y]:
+                for z, mask in hops[y]:
                     if z not in comp and not mask >> i & 1:
                         comp[z] = group
                         group.append(z)
@@ -127,24 +123,12 @@ def _state(instance: Instance, overlay: set[Edge], tree: set[Edge]) -> Augmentat
     for p, mask in on_route.items():
         sep[p] &= ~mask
     return AugmentationState(
-        instance=instance,
         overlay=overlay,
         tracked=tracked,
         sep=sep,
         components=components,
         kappa_i=kappa_i,
     )
-
-
-def compute_kappa(instance: Instance, overlay, tree) -> AugmentationState:
-    """Distance of the overlay from 2-survivability, tracked against tree routes."""
-    _require_total(instance)
-    overlay = {edge_key(*e) for e in overlay}
-    tree = {edge_key(*e) for e in tree}
-    if not tree <= overlay:
-        raise ValidationError("overlay must contain the base tree")
-    _check_spanning_tree(instance, tree)
-    return _state(instance, overlay, tree)
 
 
 def _check_spanning_tree(instance: Instance, tree) -> None:
@@ -214,7 +198,7 @@ def check_precondition(instance: Instance) -> tuple[bool, Edge | None]:
     the first violating edge in canonical order otherwise.
     """
     witness = _first_violation(
-        tracked_state(instance, peer_pairs(instance), star_tree(instance))
+        compute_kappa(instance, peer_pairs(instance), star_tree(instance))
     )
     return witness is None, witness
 

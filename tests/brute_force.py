@@ -6,7 +6,7 @@ from itertools import combinations
 from deepconn.errors import BudgetExceededError, PreconditionError, ValidationError
 from deepconn.gadgets import SetSystem
 from deepconn.model import edge_key, enumerate_simple_paths, peer_pairs, route_image
-from deepconn.sparsifier import check_precondition, tracked_state
+from deepconn.sparsifier import check_precondition, compute_kappa
 
 
 def brute_force_augment(instance, tree, budget: int = 200_000):
@@ -28,7 +28,7 @@ def brute_force_augment(instance, tree, budget: int = 200_000):
                     f"augmentation search exceeded budget of {budget} subsets"
                 )
             overlay = tree | set(extra)
-            if tracked_state(instance, overlay, tree).kappa == 0:
+            if compute_kappa(instance, overlay, tree).kappa == 0:
                 return frozenset(overlay)
     raise AssertionError("complete peer graph must be feasible under the precondition")
 

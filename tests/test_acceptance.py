@@ -36,11 +36,11 @@ from deepconn.oracles import (
 )
 from deepconn.sparsifier import (
     check_precondition,
+    compute_kappa,
     greedy_augment,
     sparsified_instance,
     special_case_construct,
     star_tree,
-    tracked_state,
 )
 
 
@@ -177,7 +177,7 @@ def test_criterion_5_sparsifier():
         tree = star_tree(inst)
         trace = []
         overlay = greedy_augment(inst, tree, trace=trace)
-        if tracked_state(inst, overlay, tree).kappa != 0:
+        if compute_kappa(inst, overlay, tree).kappa != 0:
             failures.append(f"instance {idx}: kappa != 0")
         if any(a <= b for a, b in zip(trace, trace[1:])):
             failures.append(f"instance {idx}: kappa not strictly decreasing")
@@ -188,7 +188,7 @@ def test_criterion_5_sparsifier():
         except BudgetExceededError:
             continue
         bound_checked += 1
-        kappa_t = tracked_state(inst, tree, tree).kappa
+        kappa_t = compute_kappa(inst, tree, tree).kappa
         added_greedy = len(overlay) - len(tree)
         added_best = len(best) - len(tree)
         bound = (math.log(kappa_t) + 1) * added_best if added_best else 0
@@ -213,8 +213,8 @@ def test_criterion_6_submodularity():
         pairs = sorted(inst.overlay_edges)
         h2 = {e for e in pairs if rng.random() < 0.7}
         h1 = {e for e in h2 if rng.random() < 0.7}
-        s1 = tracked_state(inst, h1, tree)
-        s2 = tracked_state(inst, h2, tree)
+        s1 = compute_kappa(inst, h1, tree)
+        s2 = compute_kappa(inst, h2, tree)
         if s1.kappa < s2.kappa:
             failures.append(f"trial {trial}: kappa not antitone")
         candidates = [e for e in pairs if e not in h2]

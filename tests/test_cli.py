@@ -102,8 +102,7 @@ def test_eight_peer_pair(capsys, verb):
     else:
         paths = [tuple(p) for p in witness["paths"]]
         assert len(paths) == 5
-        assert all(p[0] == "n01" and p[-1] == "n11" for p in paths)
-        PathPacking(paths).validate(instance, simple_only=verb == "spddc")
+        PathPacking(paths).validate(instance, "n01", "n11", simple_only=verb == "spddc")
 
 
 def test_ten_peer_spddc_pair(capsys):
@@ -118,7 +117,8 @@ def test_ten_peer_spddc_pair(capsys):
     report = json.loads(out)
     assert report["value"] == 5
     paths = [tuple(p) for p in report["witness"]["paths"]]
-    PathPacking(paths).validate(parse_instance(TEN_PEERS.read_text()), simple_only=True)
+    instance = parse_instance(TEN_PEERS.read_text())
+    PathPacking(paths).validate(instance, "n00", "n11", simple_only=True)
 
 
 def test_forty_node_fdc_pair(capsys):

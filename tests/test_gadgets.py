@@ -130,7 +130,7 @@ def test_spddc_reduction(sets, k, expected):
     assert (value >= 1) == expected
     assert set_packing_brute_force(system, k) == expected
     if value:
-        witness.validate(out.instance, simple_only=True)
+        witness.validate(out.instance, s, t, simple_only=True)
 
 
 def test_spddc_reduction_k1_always_packs():

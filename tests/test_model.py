@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from brute_force import lex_shortest_path
 from conftest import disconnected_overlay_instance, subsample_overlay
-from deepconn import fixtures
+from deepconn import fixtures, model
 from deepconn.errors import BudgetExceededError, DeepConnError, FormatError, ValidationError
 from deepconn.gadgets import ROUTE_POLICIES, random_instance
 from deepconn.model import (
     build_instance,
     edge_key,
     enumerate_simple_paths,
-    image_support,
     is_simple_concatenation,
     parse_instance,
     peer_pairs,
@@ -141,19 +140,22 @@ def test_enumerate_triangle(triangle):
     assert enumerate_simple_paths(triangle, "a", "b") == [("a", "b"), ("a", "c", "b")]
 
 
-def test_enumerate_cap(triangle):
+def test_enumerate_cap(triangle, monkeypatch):
+    monkeypatch.setattr(model, "DEFAULT_PATH_CAP", 1)
     with pytest.raises(BudgetExceededError):
-        enumerate_simple_paths(triangle, "a", "b", cap=1)
+        enumerate_simple_paths(triangle, "a", "b")
 
 
-def test_cap_counts_listed_paths(fig1):
+def test_cap_counts_listed_paths(fig1, monkeypatch):
     # Four vertex-simple overlay paths join D1 and M1; one is simply
     # implemented.
-    assert len(enumerate_simple_paths(fig1, "D1", "M1", cap=1, walk_simple=True)) == 1
+    monkeypatch.setattr(model, "DEFAULT_PATH_CAP", 1)
+    assert len(enumerate_simple_paths(fig1, "D1", "M1", walk_simple=True)) == 1
     with pytest.raises(BudgetExceededError):
-        enumerate_simple_paths(fig1, "D1", "M1", cap=1)
+        enumerate_simple_paths(fig1, "D1", "M1")
+    monkeypatch.setattr(model, "DEFAULT_PATH_CAP", 0)
     with pytest.raises(BudgetExceededError):
-        enumerate_simple_paths(fig1, "D1", "M1", cap=0, walk_simple=True)
+        enumerate_simple_paths(fig1, "D1", "M1", walk_simple=True)
 
 
 def enumerate_reference(instance, s, t):
@@ -195,7 +197,7 @@ def test_enumerate_matches_recursive_reference():
 def test_walk_simple_enumeration_is_the_filtered_one(seed, n_nodes, keep, policy):
     """The pruned search lists exactly the vertex-simple paths that pass
     is_simple_concatenation, in the same order, and the packing's image
-    masks hold exactly the edges of image_support.
+    masks hold exactly the edges of each path's route image.
     """
     rng = random.Random(seed)
     peers = rng.randint(2, min(n_nodes, 6))
@@ -207,7 +209,7 @@ def test_walk_simple_enumeration_is_the_filtered_one(seed, n_nodes, keep, policy
         ]
         for path, mask in zip(paths, _image_masks(inst, paths)):
             edges = {e for e, bit in inst.edge_bits.items() if mask & bit}
-            assert edges == image_support(inst, path)
+            assert edges == set(route_image(inst, path))
 
 
 @settings(max_examples=200, deadline=None)
@@ -322,7 +324,7 @@ def walk_is_simple(instance, path):
 
 
 def test_image_support_is_union_of_hops(fig1, shared_edge):
-    """route_image, image_support and is_simple_concatenation agree with the
+    """route_image, its support and is_simple_concatenation agree with the
     concatenated walk on every overlay path, up to 40 per pair, of fig1,
     shared_edge and random instances under both route policies.
     """
@@ -340,7 +342,7 @@ def test_image_support_is_union_of_hops(fig1, shared_edge):
                     *(inst.route_support(u, v) for u, v in zip(path, path[1:]))
                 )
                 assert route_image(inst, path) == image
-                assert image_support(inst, path) == union == frozenset(image)
+                assert union == frozenset(image)
                 simple = walk_is_simple(inst, path)
                 assert is_simple_concatenation(inst, path) == simple
                 simple_paths += simple

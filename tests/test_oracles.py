@@ -18,6 +18,8 @@ from deepconn.fdc import fdc_pair
 from deepconn.gadgets import ROUTE_POLICIES, random_instance
 from deepconn.model import peer_pairs, shortest_path
 from deepconn.oracles import (
+    CutCertificate,
+    PathPacking,
     _max_packing,
     all_pairs,
     erdc_pair,
@@ -42,6 +44,21 @@ def test_erdc_minimality_fig1(fig1):
         assert _survivor(fig1, single, "S", "T") is not None
 
 
+def test_cut_certificate_rejects_a_non_peer_pair(fig1):
+    # The empty cut leaves S unable to reach a node that is not a peer.
+    with pytest.raises(ValidationError, match="not a peer"):
+        CutCertificate(frozenset()).validate(fig1, "S", "ZZ")
+
+
+def test_path_packing_certifies_only_its_own_pair(fig1):
+    packing = PathPacking([("S", "U1")])
+    packing.validate(fig1, "S", "U1")
+    with pytest.raises(ValidationError, match="does not join S and T"):
+        packing.validate(fig1, "S", "T")
+    with pytest.raises(ValidationError, match="not a peer"):
+        packing.validate(fig1, "S", "ZZ")
+
+
 def test_erdc_k2(k2):
     assert erdc_pair(k2, "a", "b")[0] == 1
 
@@ -54,7 +71,7 @@ def test_erdc_triangle(triangle):
 def test_pddc_fig1(fig1):
     value, witness = pddc_pair(fig1, "S", "T")
     assert value == 1
-    witness.validate(fig1)
+    witness.validate(fig1, "S", "T")
 
 
 def test_pddc_shared_edge(shared_edge):
@@ -67,7 +84,7 @@ def test_pddc_shared_edge(shared_edge):
 def test_pddc_triangle(triangle):
     value, witness = pddc_pair(triangle, "a", "b")
     assert value == 2
-    witness.validate(triangle)
+    witness.validate(triangle, "a", "b")
 
 
 def test_spddc_fig1(fig1):
@@ -83,7 +100,7 @@ def test_spddc_shared_edge(shared_edge):
 def test_spddc_triangle(triangle):
     value, witness = spddc_pair(triangle, "a", "b")
     assert value == 2
-    witness.validate(triangle, simple_only=True)
+    witness.validate(triangle, "a", "b", simple_only=True)
 
 
 def test_all_pairs(triangle, k2):

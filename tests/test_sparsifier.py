@@ -30,7 +30,6 @@ from deepconn.sparsifier import (
     sparsify,
     special_case_construct,
     star_tree,
-    tracked_state,
 )
 
 
@@ -91,7 +90,7 @@ def full_rescan_greedy(instance, tree):
     trace.  It stops when no candidate gains while kappa is positive, with
     overlay None and the trace of the rounds that ran.
     """
-    state = tracked_state(instance, tree, tree)
+    state = compute_kappa(instance, tree, tree)
     trace = []
     while state.kappa > 0:
         trace.append(state.kappa)
@@ -151,8 +150,8 @@ def delta_reference(instance, overlay, tracked, e):
     )
 
 
-def assert_state_matches_reference(state):
-    inst, overlay, tracked = state.instance, state.overlay, state.tracked
+def assert_state_matches_reference(inst, state):
+    overlay, tracked = state.overlay, state.tracked
     assert state.kappa_i == kappa_i_reference(inst, overlay, tracked)
     assert state.kappa == sum(state.kappa_i)
     for cand in peer_pairs(inst):
@@ -174,16 +173,16 @@ def test_state_matches_union_find_reference(seed, n_nodes, keep, policy, path_tr
     tree = _path_tree(inst) if path_tree else star_tree(inst)
     pairs = list(peer_pairs(inst))
     # An arbitrary start overlay, then nested ones: one edge added at a time.
-    state = tracked_state(inst, [p for p in pairs if rng.random() < keep], tree)
-    assert_state_matches_reference(state)
+    state = compute_kappa(inst, [p for p in pairs if rng.random() < keep], tree)
+    assert_state_matches_reference(inst, state)
     rest = [p for p in pairs if p not in state.overlay]
     rng.shuffle(rest)
     for cand in rest[: rng.randint(0, len(rest))]:
         kappa, gain = state.kappa, delta(state, cand)
         add_edge(state, (cand[1], cand[0]) if rng.random() < 0.5 else cand)
         assert state.kappa == kappa - gain
-        assert_state_matches_reference(state)
-    assert state.kappa_i == tracked_state(inst, state.overlay, tree).kappa_i
+        assert_state_matches_reference(inst, state)
+    assert state.kappa_i == compute_kappa(inst, state.overlay, tree).kappa_i
 
 
 def test_greedy_matches_full_rescan():
@@ -259,24 +258,30 @@ K4_EDGES = list(itertools.combinations("abcd", 2))
 
 
 @pytest.mark.parametrize(
-    "overlay, tree, message",
+    "tree, message",
     [
-        (K4_EDGES[:2], [("a", "b"), ("a", "c"), ("a", "d")], "overlay must contain the base tree"),
-        (None, [("a", "b"), ("b", "c")], "base tree has wrong edge count"),
-        (None, [("a", "b"), ("b", "c"), ("c", "zz")], "tree edge endpoint is not a peer"),
-        (None, [("a", "b"), ("b", "c"), ("a", "c")], "base tree contains a cycle"),
+        ([("a", "b"), ("b", "c")], "base tree has wrong edge count"),
+        ([("a", "b"), ("b", "c"), ("c", "zz")], "tree edge endpoint is not a peer"),
+        ([("a", "b"), ("b", "c"), ("a", "c")], "base tree contains a cycle"),
     ],
-    ids=["outside-overlay", "edge-count", "non-peer", "cycle"],
+    ids=["edge-count", "non-peer", "cycle"],
 )
-def test_tree_checks(overlay, tree, message):
+def test_tree_checks(tree, message):
     # A tree that does not span either has the wrong edge count or closes a
     # cycle (the cycle case leaves d out), so it has no message of its own.
     inst = fixtures.identity_instance(list("abcd"), K4_EDGES)
     with pytest.raises(ValidationError, match=message):
-        compute_kappa(inst, tree if overlay is None else overlay, tree)
-    if overlay is None:
-        with pytest.raises(ValidationError, match=message):
-            greedy_augment(inst, tree)
+        compute_kappa(inst, tree, tree)
+    with pytest.raises(ValidationError, match=message):
+        greedy_augment(inst, tree)
+
+
+def test_compute_kappa_accepts_overlay_without_the_tree():
+    # kappa is defined for any overlay; the tree only fixes the tracked edges.
+    inst = fixtures.identity_instance(list("abcd"), K4_EDGES)
+    state = compute_kappa(inst, K4_EDGES[:2], star_tree(inst))
+    assert state.overlay == set(K4_EDGES[:2])
+    assert_state_matches_reference(inst, state)
 
 
 def test_tree_check_error_is_the_same_under_every_hash_seed():
@@ -342,7 +347,7 @@ def test_kappa_zero_on_complete_overlay():
     inst = three_cycle()
     tree = [("a", "b"), ("b", "c")]
     full = [("a", "b"), ("b", "c"), ("a", "c")]
-    assert tracked_state(inst, full, tree).kappa == 0
+    assert compute_kappa(inst, full, tree).kappa == 0
 
 
 def test_kappa_zero_iff_survivable():
@@ -353,7 +358,7 @@ def test_kappa_zero_iff_survivable():
         for e in sorted(inst.overlay_edges):
             if e not in overlay and rng.random() < 0.4:
                 overlay.add(e)
-        kappa = tracked_state(inst, overlay, tree).kappa
+        kappa = compute_kappa(inst, overlay, tree).kappa
         erdc = all_pairs(sparsified_instance(inst, frozenset(overlay)), "erdc")[0]
         assert (kappa == 0) == (erdc >= 2)
 
@@ -382,19 +387,19 @@ def test_delta_rejects_existing_edge():
 
 def test_delta_rejects_non_pair():
     inst = three_cycle()
-    state = tracked_state(inst, [("a", "b")], [("a", "b"), ("b", "c")])
+    state = compute_kappa(inst, [("a", "b")], [("a", "b"), ("b", "c")])
     with pytest.raises(ValidationError, match="not a pair of distinct peers"):
         delta(state, ("a", "a"))
 
 
 def test_add_edge_rejects_non_pair_and_keeps_state():
     inst = three_cycle()
-    state = tracked_state(inst, [("a", "b")], [("a", "b"), ("b", "c")])
+    state = compute_kappa(inst, [("a", "b")], [("a", "b"), ("b", "c")])
     before = (set(state.overlay), dict(state.sep), list(state.kappa_i))
     with pytest.raises(ValidationError, match="not a pair of distinct peers"):
         add_edge(state, ("a", "zz"))
     assert (state.overlay, state.sep, state.kappa_i) == before
-    assert_state_matches_reference(state)
+    assert_state_matches_reference(inst, state)
 
 
 def test_compute_kappa_rejects_edge_to_non_peer():
@@ -404,11 +409,11 @@ def test_compute_kappa_rejects_edge_to_non_peer():
         compute_kappa(inst, tree + [("c", "zz")], tree)
 
 
-def test_tracked_state_rejects_self_pair():
+def test_compute_kappa_rejects_self_pair():
     inst = three_cycle()
     tree = [("a", "b"), ("b", "c")]
     with pytest.raises(ValidationError, match="not a pair of distinct peers"):
-        tracked_state(inst, tree + [("b", "b")], tree)
+        compute_kappa(inst, tree + [("b", "b")], tree)
 
 
 def test_greedy_three_cycle():
@@ -422,7 +427,7 @@ def test_tree_kappa_always_positive():
     # so a bare spanning tree can never have kappa zero; greedy always adds.
     for inst in feasible_random_instances(5, max_peers=5, seed0=200):
         tree = star_tree(inst)
-        assert tracked_state(inst, tree, tree).kappa > 0
+        assert compute_kappa(inst, tree, tree).kappa > 0
         assert len(greedy_augment(inst, tree)) > len(tree)
 
 
@@ -440,7 +445,7 @@ def test_sparsify_outputs_survivable():
     assert len(result) == 3
     for inst in feasible_random_instances(5, max_peers=7, seed0=60):
         overlay = sparsify(inst)
-        assert tracked_state(inst, overlay, star_tree(inst)).kappa == 0
+        assert compute_kappa(inst, overlay, star_tree(inst)).kappa == 0
         assert all_pairs(sparsified_instance(inst, overlay), "erdc")[0] >= 2
 
 
@@ -478,7 +483,7 @@ def test_greedy_ratio_bound():
         tree = star_tree(inst)
         greedy = greedy_augment(inst, tree)
         best = brute_force_augment(inst, tree)
-        kappa_t = tracked_state(inst, tree, tree).kappa
+        kappa_t = compute_kappa(inst, tree, tree).kappa
         added_greedy = len(greedy) - len(tree)
         added_best = len(best) - len(tree)
         if added_best == 0:
@@ -496,8 +501,8 @@ def test_submodularity():
         pairs = sorted(inst.overlay_edges)
         h2 = {e for e in pairs if rng.random() < 0.6}
         h1 = {e for e in h2 if rng.random() < 0.6}
-        s1 = tracked_state(inst, h1, tree)
-        s2 = tracked_state(inst, h2, tree)
+        s1 = compute_kappa(inst, h1, tree)
+        s2 = compute_kappa(inst, h2, tree)
         assert s1.kappa >= s2.kappa
         candidates = [e for e in pairs if e not in h2]
         if candidates:
