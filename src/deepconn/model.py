@@ -6,8 +6,8 @@ an overlay graph H on P.  Instances are immutable after validation and every
 operation here is a pure function.  Because an instance never changes, its
 indexes are built once and shared by every solver: the G-edge support of
 each route while the routes are validated; on first use the sorted overlay
-adjacency, the kill set of each G-edge, each route support as an int mask
-and the vertex footprint of each overlay hop.
+adjacency, the kill set of each G-edge, the cut candidates, each route
+support as an int mask and the vertex footprint of each overlay hop.
 """
 
 from __future__ import annotations
@@ -73,6 +73,16 @@ class Instance:
             for e in self.supports[f]:
                 kill.setdefault(e, set()).add(f)
         return MappingProxyType({e: frozenset(kill[e]) for e in sorted(kill)})
+
+    @cached_property
+    def cut_candidates(self) -> tuple[Edge, ...]:
+        """The first G-edge, in edge order, of each distinct kill set, in
+        edge order: failing any routed G-edge kills what one of them kills.
+        """
+        first: dict[frozenset[Edge], Edge] = {}
+        for e, dies in self.kill_sets.items():
+            first.setdefault(dies, e)
+        return tuple(first.values())
 
     @cached_property
     def _node_bits(self) -> dict[str, int]:

@@ -17,7 +17,6 @@ from .model import (
     Instance,
     Path,
     check_pair,
-    edge_key,
     enumerate_simple_paths,
     is_simple_concatenation,
     peer_pairs,
@@ -77,10 +76,10 @@ def erdc_pair(
 ) -> tuple[int, CutCertificate]:
     """Minimum number of G-edges whose removal disconnects s from t in H.
 
-    Candidate edges are grouped by identical kill sets (the overlay edges
-    routed through them), and subsets of candidates are enumerated by
-    increasing size in lexicographic order, so the cut returned is the
-    lexicographically first minimum cut.
+    The candidates are ``instance.cut_candidates``, one G-edge per distinct
+    kill set (the overlay edges routed through it), and subsets of them are
+    enumerated by increasing size in lexicographic order, so the cut
+    returned is the lexicographically first minimum cut.
 
     The search keeps a family of overlay (s,t)-paths, each candidate holding
     an int mask of the family paths it kills.  A subset whose masks do not
@@ -92,37 +91,29 @@ def erdc_pair(
     enumerated from that size on, whether or not it reached the BFS.
     """
     check_pair(instance, s, t)
-    kill = instance.kill_sets
-    # One representative underlying edge per distinct kill set; kill_sets
-    # lists its edges in order, so the candidates come out sorted.
-    reps: dict[frozenset[Edge], Edge] = {}
-    for e, dies in kill.items():
-        reps.setdefault(dies, e)
-    candidates = list(reps.values())
-    hitters: dict[Edge, list[int]] = {}
-    for c, e in enumerate(candidates):
-        for f in kill[e]:
-            hitters.setdefault(f, []).append(c)
+    candidates = instance.cut_candidates
     masks = [0] * len(candidates)
     family = 0  # one bit per known surviving path
 
-    def learn(path: Path) -> None:
+    def learn(path: Path) -> set[Edge]:
+        """Give path a family bit, set it on the candidates that kill the
+        path, those on its image, and return the image.
+        """
         nonlocal family
         bit = family + 1
         family |= bit
-        for u, v in zip(path, path[1:]):
-            for c in hitters[edge_key(u, v)]:
+        image = set().union(*(instance.route_support(u, v) for u, v in zip(path, path[1:])))
+        for c, e in enumerate(candidates):
+            if e in image:
                 masks[c] |= bit
+        return image
 
-    # Greedy seed: after each path, kill every overlay edge routed through
-    # its image, so the seed paths have pairwise disjoint images and every
-    # cut needs one G-edge per seed path.
-    dead: set[Edge] = set()
-    while (path := shortest_path(instance.h_neighbors, s, t, dead)) is not None:
-        learn(path)
-        for u, v in zip(path, path[1:]):
-            for e in instance.route_support(u, v):
-                dead |= kill[e]
+    # Greedy seed: after each path its whole image fails, so the seed paths
+    # have pairwise disjoint images and every cut needs one G-edge per seed
+    # path.
+    failed: set[Edge] = set()
+    while (path := _survivor(instance, failed, s, t)) is not None:
+        failed |= learn(path)
     lower = family.bit_count()
     if lower == 0:
         return 0, CutCertificate(frozenset())
