@@ -32,6 +32,9 @@ class FlowResult:
 
     def validate(self, instance: Instance, s: str, t: str) -> None:
         """Re-check both certificates independently of the solver."""
+        check_pair(instance, s, t)
+        if any(p[0] != s or p[-1] != t for p in (*self.primal, *self.generated_paths)):
+            raise ValidationError(f"flow path does not join {s} and {t}")
         load: dict[Edge, Fraction] = {}
         total = ZERO
         for path, flow in self.primal.items():
@@ -129,10 +132,8 @@ def fdc_pair(instance: Instance, s: str, t: str) -> FlowResult:
     lp = PackingSimplex(len(row_edges))
 
     generated: list[Path] = []
-    seen: set[Path] = set()
     while violated is not None:
-        assert violated not in seen, "oracle returned an already generated path"
-        seen.add(violated)
+        assert violated not in generated, "oracle returned an already generated path"
         generated.append(violated)
         image = route_image(instance, violated)
         lp.add_column({row_index[e]: mult for e, mult in image.items()})

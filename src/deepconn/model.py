@@ -16,7 +16,7 @@ import json
 import re
 from collections import Counter, deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
@@ -44,8 +44,7 @@ class Instance:
     ``routes`` is a read-only map from the canonical unordered pair to the
     route path, oriented so that it starts at the smaller endpoint, and
     ``supports`` a read-only map from the same pairs to the canonical G-edges
-    of their routes.  ``total`` is True when every unordered pair of distinct
-    peers has a route.
+    of their routes.
     """
 
     nodes: tuple[str, ...]
@@ -54,9 +53,14 @@ class Instance:
     overlay_edges: frozenset[Edge]
     routes: Mapping[Edge, Path]
     supports: Mapping[Edge, frozenset[Edge]]
-    total: bool = field(default=False)
 
     # -- indexes, built once on first use -----------------------------------
+
+    @cached_property
+    def total(self) -> bool:
+        """True when every unordered pair of distinct peers has a route."""
+        n = len(self.peers)
+        return len(self.routes) == n * (n - 1) // 2
 
     @cached_property
     def _h_adjacency(self) -> dict[str, tuple[str, ...]]:
@@ -286,7 +290,6 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
             raise ValidationError(f"overlay edge {key} has no route")
         canon_overlay.add(key)
 
-    n_peer_pairs = len(peers) * (len(peers) - 1) // 2
     return Instance(
         nodes=nodes,
         edges=canon_edges,
@@ -294,7 +297,6 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
         overlay_edges=frozenset(canon_overlay),
         routes=MappingProxyType(canon_routes),
         supports=MappingProxyType(supports),
-        total=len(canon_routes) == n_peer_pairs,
     )
 
 

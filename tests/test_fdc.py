@@ -104,6 +104,22 @@ def test_fdc_shared_edge(shared_edge):
     result.validate(shared_edge, "s", "t")
 
 
+def test_flow_result_certifies_only_its_own_pair(triangle):
+    result = fdc_pair(triangle, "a", "b")
+    result.validate(triangle, "a", "b")
+    with pytest.raises(ValidationError, match="does not join a and c"):
+        result.validate(triangle, "a", "c")
+    with pytest.raises(ValidationError, match="not a peer"):
+        result.validate(triangle, "a", "zz")
+    # Here the certificate of a pair with FDC 3/2 also passes every other
+    # check for a pair with FDC 1.
+    inst = random_instance(7, 4, 0.5, "shortest_path", seed=0)
+    result = fdc_pair(inst, "n00", "n03")
+    assert (result.value, fdc_pair(inst, "n03", "n05").value) == (Fraction(3, 2), 1)
+    with pytest.raises(ValidationError, match="does not join n03 and n05"):
+        result.validate(inst, "n03", "n05")
+
+
 def test_fdc_all_pairs_triangle(triangle):
     value, pair, _ = all_pairs(triangle, "fdc")
     assert value == 2

@@ -5,6 +5,7 @@ import random
 import re
 import string
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,20 @@ def test_fig1_counts(fig1):
     assert len(fig1.peers) == 8
     assert len(fig1.overlay_edges) == 9
     assert not fig1.total
+
+
+def test_total_follows_the_routes(triangle):
+    assert triangle.total
+    routes = dict(triangle.routes)
+    del routes[("b", "c")]
+    assert not replace(triangle, routes=routes).total
+
+
+def test_cut_candidates_are_the_first_edge_of_each_kill_set(fig1):
+    kill = fig1.kill_sets
+    candidates = fig1.cut_candidates
+    assert list(candidates) == sorted(candidates)
+    assert [kill[e] for e in candidates] == list(dict.fromkeys(kill.values()))
 
 
 @pytest.mark.parametrize(
