@@ -102,7 +102,7 @@ def erdc_pair(
         nonlocal family
         bit = family + 1
         family |= bit
-        image = set().union(*(instance.route_support(u, v) for u, v in zip(path, path[1:])))
+        image = set().union(*map(instance.route_support, path, path[1:]))
         for c, e in enumerate(candidates):
             if e in image:
                 masks[c] |= bit
