@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from brute_force import classic_edge_connectivity, separation_reference
 from conftest import disconnected_overlay_instance, random_connected_graph, subsample_overlay
 from deepconn import fixtures
 from deepconn.errors import ValidationError
-from deepconn.fdc import fdc_pair, format_rational, separation_oracle
+from deepconn.fdc import FlowResult, fdc_pair, format_rational, separation_oracle
 from deepconn.gadgets import ROUTE_POLICIES, random_instance
 from deepconn.model import (
     build_instance,
@@ -118,6 +119,43 @@ def test_flow_result_certifies_only_its_own_pair(triangle):
     assert (result.value, fdc_pair(inst, "n03", "n05").value) == (Fraction(3, 2), 1)
     with pytest.raises(ValidationError, match="does not join n03 and n05"):
         result.validate(inst, "n03", "n05")
+
+
+def _scaled(weights, factor):
+    return {key: w * factor for key, w in weights.items()}
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        (lambda r: replace(r, primal=_scaled(r.primal, -1)), "negative primal flow"),
+        (lambda r: replace(r, primal=_scaled(r.primal, 2)), "violates an edge capacity"),
+        (lambda r: replace(r, value=r.value + 1), "objectives differ from value"),
+        (lambda r: replace(r, dual=_scaled(r.dual, Fraction(1, 2))), None),
+        (lambda r: replace(r, dual={**r.dual, min(r.dual): -max(r.dual.values())}), None),
+        (lambda r: replace(r, generated_paths=[r.generated_paths[0][:1]]), None),
+        (lambda r: FlowResult(Fraction(0), {}, {}, []), "dual infeasible over the full path space"),
+    ],
+    ids=[
+        "negative-flow",
+        "doubled-primal",
+        "value-plus-one",
+        "halved-dual",
+        "negated-weight",
+        "one-peer-path",
+        "zero-certificate",
+    ],
+)
+def test_forged_flow_certificate_is_rejected(fig1, shared_edge, forge, message):
+    for inst, s, t in ((fig1, "S", "T"), (shared_edge, "s", "t")):
+        forged = forge(fdc_pair(inst, s, t))
+        with pytest.raises(ValidationError, match=message):
+            forged.validate(inst, s, t)
+
+
+def test_oracle_rejects_a_negative_weight(fig1):
+    with pytest.raises(ValidationError, match="dual weights must be nonnegative"):
+        separation_oracle(fig1, "S", "T", {edge_key("M1", "M2"): Fraction(-1, 2)})
 
 
 def test_fdc_all_pairs_triangle(triangle):

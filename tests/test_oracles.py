@@ -59,6 +59,19 @@ def test_path_packing_certifies_only_its_own_pair(fig1):
         packing.validate(fig1, "S", "ZZ")
 
 
+def test_forged_cut_and_packings_are_rejected(fig1, shared_edge):
+    with pytest.raises(ValidationError, match="does not disconnect the pair"):
+        CutCertificate(frozenset()).validate(fig1, "S", "T")
+    _, packing = pddc_pair(fig1, "S", "T")
+    with pytest.raises(ValidationError, match="packing images intersect"):
+        PathPacking(packing.paths * 2).validate(fig1, "S", "T")
+    # s-x-t is a packing for PDDC, but its walk crosses (a,b) twice.
+    _, packing = pddc_pair(shared_edge, "s", "t")
+    packing.validate(shared_edge, "s", "t")
+    with pytest.raises(ValidationError, match="not simply implemented"):
+        packing.validate(shared_edge, "s", "t", simple_only=True)
+
+
 def test_erdc_k2(k2):
     assert erdc_pair(k2, "a", "b")[0] == 1
 
