@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .fdc import FlowResult, format_rational
+from .fdc import FlowResult
 from .model import (
     Instance,
     build_instance,
@@ -220,7 +220,7 @@ def _cmd_parameter(args):
             "argmin_pair": list(pair),
         }
     if name == "fdc":
-        report["value"] = format_rational(value)
+        report["value"] = str(value)
     if args.witness:
         report["witness"] = _witness(cert)
     report["status"] = "ok"
@@ -233,11 +233,11 @@ def _witness(cert):
     if isinstance(cert, FlowResult):
         return {
             "primal": {
-                " ".join(path): format_rational(flow)
+                " ".join(path): str(flow)
                 for path, flow in sorted(cert.primal.items())
             },
             "dual": {
-                f"{u},{v}": format_rational(w)
+                f"{u},{v}": str(w)
                 for (u, v), w in sorted(cert.dual.items())
             },
         }
@@ -296,7 +296,7 @@ def _cmd_check(args):
                 "erdc": erdc,
                 "pddc": pddc,
                 "spddc": spddc,
-                "fdc": format_rational(flow),
+                "fdc": str(flow),
                 "inequalities": "ok" if holds else "VIOLATED",
             }
         )

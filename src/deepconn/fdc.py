@@ -31,10 +31,12 @@ class FlowResult:
     generated_paths: list[Path]
 
     def validate(self, instance: Instance, s: str, t: str) -> None:
-        """Re-check both certificates independently of the solver."""
-        check_pair(instance, s, t)
-        if any(p[0] != s or p[-1] != t for p in (*self.primal, *self.generated_paths)):
-            raise ValidationError(f"flow path does not join {s} and {t}")
+        """Re-check both certificates independently of the solver.
+
+        The closing separation oracle prices every overlay (s,t)-path, the
+        generated ones included, and rejects a negative dual weight.
+        """
+        check_pair(instance, s, t, (*self.primal, *self.generated_paths))
         load: dict[Edge, Fraction] = {}
         total = ZERO
         for path, flow in self.primal.items():
@@ -45,17 +47,7 @@ class FlowResult:
                 load[e] = load.get(e, ZERO) + mult * flow
         if any(v > 1 for v in load.values()):
             raise ValidationError("primal violates an edge capacity")
-        dual_total = sum(self.dual.values(), ZERO)
-        if any(v < 0 for v in self.dual.values()):
-            raise ValidationError("negative dual weight")
-        for path in self.generated_paths:
-            cost = sum(
-                mult * self.dual.get(e, ZERO)
-                for e, mult in route_image(instance, path).items()
-            )
-            if self.value > 0 and cost < 1:
-                raise ValidationError("dual violates a generated path constraint")
-        if total != self.value or dual_total != self.value:
+        if total != self.value or sum(self.dual.values(), ZERO) != self.value:
             raise ValidationError("primal/dual objectives differ from value")
         if separation_oracle(instance, s, t, self.dual) is not None:
             raise ValidationError("dual infeasible over the full path space")
@@ -143,7 +135,3 @@ def fdc_pair(instance: Instance, s: str, t: str) -> FlowResult:
         violated = separation_oracle(instance, s, t, y)
     primal = {p: x[j] for j, p in enumerate(generated) if x[j] != 0}
     return FlowResult(value, primal, y, generated)
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"

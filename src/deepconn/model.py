@@ -158,12 +158,18 @@ def connected(nodes, adj) -> bool:
     return len(seen) == len(nodes)
 
 
-def check_pair(instance: Instance, s: str, t: str) -> None:
-    """Raise ValidationError unless s and t are distinct peers."""
+def check_pair(instance: Instance, s: str, t: str, paths=()) -> None:
+    """Raise ValidationError unless s and t are distinct peers and each of
+    ``paths``, the paths a certificate names, is an overlay (s,t)-path.
+    """
     if s not in instance.peers or t not in instance.peers:
         raise ValidationError(f"{s} or {t} is not a peer")
     if s == t:
         raise ValidationError("endpoints must be distinct")
+    for path in paths:
+        _check_overlay_path(instance, path)
+        if path[0] != s or path[-1] != t:
+            raise ValidationError(f"path does not join {s} and {t}")
 
 
 def peer_pairs(instance: Instance):

@@ -49,17 +49,15 @@ class PathPacking:
     def validate(
         self, instance: Instance, s: str, t: str, simple_only: bool = False
     ) -> None:
-        check_pair(instance, s, t)
-        supports = [frozenset(route_image(instance, p)) for p in self.paths]
-        if any(p[0] != s or p[-1] != t for p in self.paths):
-            raise ValidationError(f"packing path does not join {s} and {t}")
-        for a, b in combinations(supports, 2):
-            if a & b:
+        check_pair(instance, s, t, self.paths)
+        used: set[Edge] = set()
+        for p in self.paths:
+            image = route_image(instance, p)
+            if not used.isdisjoint(image):
                 raise ValidationError("packing images intersect")
-        if simple_only:
-            for p in self.paths:
-                if not is_simple_concatenation(instance, p):
-                    raise ValidationError("packing path is not simply implemented")
+            if simple_only and not is_simple_concatenation(instance, p):
+                raise ValidationError("packing path is not simply implemented")
+            used.update(image)
 
 
 def _survivor(instance: Instance, cut, s: str, t: str) -> Path | None:

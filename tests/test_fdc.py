@@ -12,7 +12,7 @@ from brute_force import classic_edge_connectivity, separation_reference
 from conftest import disconnected_overlay_instance, random_connected_graph, subsample_overlay
 from deepconn import fixtures
 from deepconn.errors import ValidationError
-from deepconn.fdc import FlowResult, fdc_pair, format_rational, separation_oracle
+from deepconn.fdc import FlowResult, fdc_pair, separation_oracle
 from deepconn.gadgets import ROUTE_POLICIES, random_instance
 from deepconn.model import (
     build_instance,
@@ -153,6 +153,15 @@ def test_forged_flow_certificate_is_rejected(fig1, shared_edge, forge, message):
             forged.validate(inst, s, t)
 
 
+def test_flow_result_rejects_an_empty_path(fig1):
+    for forged in (
+        FlowResult(Fraction(1), {(): Fraction(1)}, {}, []),
+        FlowResult(Fraction(0), {}, {}, [()]),
+    ):
+        with pytest.raises(ValidationError, match="at least two peers"):
+            forged.validate(fig1, "S", "T")
+
+
 def test_oracle_rejects_a_negative_weight(fig1):
     with pytest.raises(ValidationError, match="dual weights must be nonnegative"):
         separation_oracle(fig1, "S", "T", {edge_key("M1", "M2"): Fraction(-1, 2)})
@@ -225,8 +234,3 @@ def test_monotone_in_overlay_edges():
         )
         assert fdc_pair(bigger, s, t).value >= base
 
-
-def test_format_rational():
-    assert format_rational(Fraction(3, 2)) == "3/2"
-    assert format_rational(Fraction(4, 2)) == "2"
-    assert format_rational(Fraction(0)) == "0"
