@@ -320,6 +320,9 @@ def parse_instance(text: str) -> Instance:
     except RecursionError:
         # json's decoder recurses once per nesting level.
         raise FormatError("document nested too deeply") from None
+    except ValueError as exc:
+        # An integer longer than sys.get_int_max_str_digits() allows.
+        raise FormatError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError("document root must be an object")
     for key in ("nodes", "edges", "peers", "overlay_edges", "routes"):

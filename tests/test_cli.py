@@ -169,6 +169,16 @@ def test_deeply_nested_document(tmp_path, capsys):
     assert err == "error FORMAT: document nested too deeply\n"
 
 
+def test_over_long_number_document(tmp_path, capsys):
+    # Past the interpreter's limit on integer digits, if it has one; a
+    # root that is a number is a format error either way.
+    path = tmp_path / "long.json"
+    path.write_text("1" * 5000)
+    code, out, err = run(capsys, "validate", "-i", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error FORMAT:")
+
+
 def test_invalid_document(tmp_path, capsys):
     doc = {
         "nodes": ["a", "b"],
@@ -281,6 +291,27 @@ def test_special_case(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["size"] <= report["bound"] == 6
+
+
+def test_special_case_needs_every_node_a_peer(fig1_path, capsys):
+    code, out, err = run(capsys, "special-case", "-i", fig1_path)
+    assert code == 1 and out == ""
+    assert err == "error PRECONDITION: special case requires every node to be a peer\n"
+
+
+def test_check_text_lists_each_pair(tmp_path, capsys):
+    path = tmp_path / "shared_edge.json"
+    path.write_text(serialize_instance(fixtures.shared_edge()))
+    code, out, _ = run(capsys, "check", "-i", str(path))
+    assert code == 0
+    row = "  pair: {}\n  erdc: 1\n  pddc: 1\n  spddc: {}\n  fdc: {}\n  inequalities: ok\n\n"
+    assert out == (
+        "command: check\npairs:\n"
+        + row.format("['s', 't']", 0, "1/2")
+        + row.format("['s', 'x']", 1, 1)
+        + row.format("['t', 'x']", 1, 1)
+        + "status: ok\n"
+    )
 
 
 def test_gen_random_roundtrip(tmp_path, capsys):
@@ -402,6 +433,77 @@ def test_gen_hamiltonian(tmp_path, capsys):
     assert inst.total and "apex_x" in inst.nodes
 
 
+def test_gen_hamiltonian_edge_tokens(capsys):
+    code, out, err = run(
+        capsys, "gen", "hamiltonian", "--nodes", "a,b,c", "--edges", "a-b-c"
+    )
+    assert code == 2 and out == ""
+    assert err == "error FORMAT: bad edge token 'a-b-c'; expected a-b\n"
+    code, out, _ = run(
+        capsys, "gen", "hamiltonian", "--nodes", "a,b,c", "--edges", "a-b,,b-c", "--json"
+    )
+    assert code == 0 and json.loads(out)["nodes"] == 5
+
+
+_SET_SYSTEM = ["gen", "set-system", "--h-nodes", "x,y,z", "--h-edges", "x-y,y-z"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["gen", "spddc-reduction", "--m", "1", "--sets", "1", "--k", "0"],
+            "k must be positive",
+        ),
+        (
+            ["gen", "hamiltonian", "--nodes", "a,b,apex_x", "--edges", "a-b"],
+            "input vertex names collide with apex names",
+        ),
+        (
+            ["gen", "hamiltonian", "--nodes", "a,b", "--edges", "a-b"],
+            "need at least three vertices",
+        ),
+        (
+            [*_SET_SYSTEM, "--f", "x-y,y-x", "--m", "1", "--sets", "1;1"],
+            "duplicate edges in f",
+        ),
+        (
+            [*_SET_SYSTEM, "--f", "x-z", "--m", "1", "--sets", "1"],
+            "f must be a subset of the overlay edges",
+        ),
+        (
+            ["gen", "set-system", "--h-nodes", "x,v1_a", "--h-edges", "x-v1_a",
+             "--f", "x-v1_a", "--m", "1", "--sets", "1"],
+            "node name v1_a collides with an overlay vertex",
+        ),
+        ([*_SET_SYSTEM, "--f", "x-y", "--m", "1", "--sets", "2"], "set element out of range"),
+        (
+            [*_SET_SYSTEM, "--f", "x-y", "--m", "2", "--sets", "1"],
+            "element 2 appears in no set; its edge would be disconnected",
+        ),
+        (
+            ["gen", "random", "--nodes", "3", "--peers", "2", "--edge-prob", "0"],
+            "no connected graph within 1000 attempts",
+        ),
+    ],
+    ids=[
+        "k-zero",
+        "apex-name",
+        "two-vertices",
+        "duplicate-f",
+        "f-outside-overlay",
+        "gadget-name",
+        "element-out-of-range",
+        "unused-element",
+        "edge-prob-zero",
+    ],
+)
+def test_generator_rejects_invalid_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error VALIDATION: {message}\n"
+
+
 def test_witness_reingest(fig1_path, capsys, tmp_path):
     # A cut emitted by the CLI must validate against the library certificate.
     from deepconn.oracles import CutCertificate
@@ -458,6 +560,7 @@ def test_budget_honoured_by_search_verbs(fig1_path, capsys):
         ["erdc", "--pair", "S", "T", "--budget", "-5"],
         ["pddc", "--pair", "S", "T", "--budget", "-1"],
         ["spddc", "--pair", "S", "T", "--budget", "-1"],
+        ["erdc", "--pair", "S", "T", "--budget", "abc"],
     ],
 )
 def test_negative_budget_is_usage_error(fig1_path, capsys, argv):

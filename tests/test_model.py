@@ -88,6 +88,51 @@ def test_build_rejects_bad_route(routes, message):
         )
 
 
+_PATH_DOC = {
+    "nodes": ["a", "b", "c"],
+    "edges": [["a", "b"], ["b", "c"]],
+    "peers": ["a", "c"],
+    "overlay_edges": [["a", "c"]],
+    "routes": [{"pair": ["a", "c"], "path": ["a", "b", "c"]}],
+}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"nodes": ["a", "b", "c", "a"]}, "duplicate node name"),
+        ({"edges": [["a", "b"], ["c", "c"]]}, "self-loop at c"),
+        ({"edges": [["a", "b"], ["b", "c"], ["b", "a"]]}, "duplicate edge ('a', 'b')"),
+        ({"peers": ["a", "c", "a"]}, "duplicate peer"),
+        ({"overlay_edges": [["a", "a"]]}, "overlay self-loop at a"),
+        ({"overlay_edges": [["a", "b"]]}, "overlay edge (a,b) endpoint is not a peer"),
+        (
+            {"overlay_edges": [["a", "c"], ["c", "a"]]},
+            "duplicate overlay edge ('a', 'c')",
+        ),
+        (
+            {"routes": _PATH_DOC["routes"] + [{"pair": ["c", "a"], "path": ["c", "b", "a"]}]},
+            "duplicate route for pair ('a', 'c')",
+        ),
+        (dict.fromkeys(_PATH_DOC, []), "fewer than two peers"),
+    ],
+    ids=[
+        "duplicate-node",
+        "self-loop",
+        "duplicate-edge",
+        "duplicate-peer",
+        "overlay-self-loop",
+        "overlay-non-peer",
+        "duplicate-overlay-edge",
+        "duplicate-route",
+        "empty",
+    ],
+)
+def test_parse_rejects_invalid_document(changes, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_instance(json.dumps({**_PATH_DOC, **changes}))
+
+
 def test_parse_rejects_disconnected_graph():
     doc = {
         "nodes": ["a", "b", "c", "d"],
@@ -123,6 +168,19 @@ def test_route_image_fig1(fig1):
     }
     assert set(counts) == expected
     assert all(m == 1 for m in counts.values())
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("S",), "overlay path needs at least two peers"),
+        (("S", "U1", "S"), "overlay path not vertex-simple"),
+        (("S", "T"), "(S,T) is not an overlay edge"),
+    ],
+)
+def test_route_image_rejects_a_non_overlay_path(fig1, path, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        route_image(fig1, path)
 
 
 def test_route_image_single_edge(k2):
