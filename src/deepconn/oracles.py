@@ -69,6 +69,25 @@ def _survivor(instance: Instance, cut, s: str, t: str) -> Path | None:
     return shortest_path(instance.h_neighbors, s, t, dead)
 
 
+def seed_packing(instance: Instance, s: str, t: str) -> list[Path]:
+    """Overlay (s,t)-paths with pairwise disjoint images, found greedily.
+
+    Each path is the lexicographically first fewest-hop overlay (s,t)-path
+    that survives the failure of the earlier paths' images, so every cut
+    needs one G-edge per seed path.  The seed's size bounds ERDC and PDDC
+    from below, and its simply implemented paths bound SPDDC and FDC.
+    """
+    check_pair(instance, s, t)
+    kill = instance.kill_sets
+    dead: set[Edge] = set()
+    seed = []
+    while (path := shortest_path(instance.h_neighbors, s, t, dead)) is not None:
+        seed.append(path)
+        image = set().union(*map(instance.route_support, path, path[1:]))
+        dead.update(*(kill[e] for e in image))
+    return seed
+
+
 def erdc_pair(
     instance: Instance, s: str, t: str, budget: int = DEFAULT_CUT_BUDGET
 ) -> tuple[int, CutCertificate]:
@@ -83,19 +102,19 @@ def erdc_pair(
     an int mask of the family paths it kills.  A subset whose masks do not
     cover the family leaves a known path alive and skips the BFS; a subset
     that covers it but still leaves a path adds that path to the family (an
-    implicit hitting set).  The family is seeded greedily with paths of
-    pairwise disjoint images, so no cut is smaller than the seed and the
-    enumeration starts at its size.  ``budget`` counts every subset
-    enumerated from that size on, whether or not it reached the BFS.
+    implicit hitting set).  The family starts as ``seed_packing``, so no
+    cut is smaller than the seed and the enumeration starts at its size.
+    ``budget`` counts every subset enumerated from that size on, whether or
+    not it reached the BFS.
     """
-    check_pair(instance, s, t)
+    seed = seed_packing(instance, s, t)
     candidates = instance.cut_candidates
     masks = [0] * len(candidates)
     family = 0  # one bit per known surviving path
 
-    def learn(path: Path) -> set[Edge]:
-        """Give path a family bit, set it on the candidates that kill the
-        path, those on its image, and return the image.
+    def learn(path: Path) -> None:
+        """Give path a family bit and set it on the candidates that kill
+        the path, those on its image.
         """
         nonlocal family
         bit = family + 1
@@ -104,15 +123,10 @@ def erdc_pair(
         for c, e in enumerate(candidates):
             if e in image:
                 masks[c] |= bit
-        return image
 
-    # Greedy seed: after each path its whole image fails, so the seed paths
-    # have pairwise disjoint images and every cut needs one G-edge per seed
-    # path.
-    failed: set[Edge] = set()
-    while (path := _survivor(instance, failed, s, t)) is not None:
-        failed |= learn(path)
-    lower = family.bit_count()
+    for path in seed:
+        learn(path)
+    lower = len(seed)
     if lower == 0:
         return 0, CutCertificate(frozenset())
 
@@ -253,11 +267,28 @@ def pair_parameter(instance: Instance, which: str, s: str, t: str, **kwargs):
 
 
 def all_pairs(instance: Instance, which: str, **kwargs):
-    """Minimum over unordered peer pairs; lexicographically smallest argmin."""
-    best = None
-    for u, v in peer_pairs(instance):
-        value, witness = pair_parameter(instance, which, u, v, **kwargs)
-        if best is None or value < best[0]:
-            best = (value, (u, v), witness)
-    return best
+    """Minimum over unordered peer pairs; lexicographically smallest argmin.
 
+    Each pair's ``seed_packing`` bounds its value from below: the seed's
+    size for "erdc" and "pddc", its simply implemented paths for "spddc"
+    and "fdc".  Pairs are searched in (bound, pair) order until a pair's
+    (bound, pair) exceeds the best (value, pair) found, which no later pair
+    can then beat.  A budget in ``kwargs`` bounds each pair search on its
+    own, and a skipped pair runs none.
+    """
+    simple = which in ("spddc", "fdc")
+
+    def bound(pair) -> int:
+        seed = seed_packing(instance, *pair)
+        if simple:
+            return sum(is_simple_concatenation(instance, p) for p in seed)
+        return len(seed)
+
+    best = None
+    for low, pair in sorted((bound(pair), pair) for pair in peer_pairs(instance)):
+        if best is not None and (low, pair) > best[:2]:
+            break
+        value, witness = pair_parameter(instance, which, *pair, **kwargs)
+        if best is None or (value, pair) < best[:2]:
+            best = (value, pair, witness)
+    return best

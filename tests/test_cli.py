@@ -121,6 +121,20 @@ def test_ten_peer_spddc_pair(capsys):
     PathPacking(paths).validate(instance, "n00", "n11", simple_only=True)
 
 
+def test_ten_peer_spddc_all_pairs(capsys):
+    # Some pairs exceed the packing budget, so searching every pair exits
+    # BUDGET; their seed bounds show that none of them is the minimum.
+    code, out, err = run(
+        capsys, "spddc", "-i", str(TEN_PEERS), "--all-pairs", "--witness", "--json"
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["value"] == 3 and report["argmin_pair"] == ["n00", "n06"]
+    paths = [tuple(p) for p in report["witness"]["paths"]]
+    instance = parse_instance(TEN_PEERS.read_text())
+    PathPacking(paths).validate(instance, "n00", "n06", simple_only=True)
+
+
 def test_forty_node_fdc_pair(capsys):
     # 40 nodes, 20 peers, a complete overlay whose hops mostly carry dual
     # weight 0: a separation oracle that searches among tied paths hangs.

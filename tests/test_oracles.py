@@ -12,7 +12,8 @@ from conftest import (
     random_connected_graph,
     subsample_overlay,
 )
-from deepconn import fixtures
+from deepconn import fixtures, oracles
+from deepconn.cli import _witness
 from deepconn.errors import BudgetExceededError, ValidationError
 from deepconn.fdc import fdc_pair
 from deepconn.gadgets import ROUTE_POLICIES, random_instance
@@ -23,7 +24,9 @@ from deepconn.oracles import (
     _max_packing,
     all_pairs,
     erdc_pair,
+    pair_parameter,
     pddc_pair,
+    seed_packing,
     spddc_pair,
 )
 
@@ -122,6 +125,67 @@ def test_all_pairs(triangle, k2):
     inst = disconnected_overlay_instance()
     for which in ("erdc", "pddc", "spddc"):
         assert all_pairs(inst, which)[0] == 0
+
+
+def test_seed_packing_is_a_packing(fig1):
+    for s, t in peer_pairs(fig1):
+        seed = seed_packing(fig1, s, t)
+        PathPacking(seed).validate(fig1, s, t)
+        assert 0 < len(seed) <= erdc_pair(fig1, s, t)[0]
+
+
+@pytest.mark.parametrize(
+    "which, searched",
+    [
+        ("erdc", 16),
+        ("pddc", 1),
+        ("spddc", [("D1", "U4"), ("D1", "D4")]),
+        ("fdc", 28),
+    ],
+)
+def test_all_pairs_searches_only_pairs_that_can_win(fig1, monkeypatch, which, searched):
+    calls = []
+    search = oracles._PAIR_OPS[which]
+
+    def counted(instance, s, t, **kwargs):
+        calls.append((s, t))
+        return search(instance, s, t, **kwargs)
+
+    monkeypatch.setitem(oracles._PAIR_OPS, which, counted)
+    assert all_pairs(fig1, which)[1] == ("D1", "D4")
+    assert len(set(calls)) == len(calls)
+    if isinstance(searched, int):
+        assert len(calls) == searched
+    else:
+        assert calls == searched
+
+
+def min_loop(instance, which):
+    """The unpruned minimum: every pair searched in lexicographic order."""
+    best = None
+    for s, t in peer_pairs(instance):
+        value, witness = pair_parameter(instance, which, s, t)
+        if best is None or value < best[0]:
+            best = (value, (s, t), witness)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_nodes=st.integers(6, 12),
+    keep=st.floats(0.3, 1.0),
+    policy=st.sampled_from(ROUTE_POLICIES),
+)
+def test_all_pairs_matches_min_loop(seed, n_nodes, keep, policy):
+    rng = random.Random(seed)
+    full = random_instance(n_nodes, rng.randint(3, min(n_nodes, 7)), 0.4, policy, seed=seed)
+    inst = subsample_overlay(rng, full, keep)
+    for which in ("erdc", "pddc", "spddc", "fdc"):
+        value, pair, witness = all_pairs(inst, which)
+        expected = min_loop(inst, which)
+        assert (value, pair) == expected[:2]
+        assert _witness(witness) == _witness(expected[2])
 
 
 def test_classic_connectivity():
