@@ -6,8 +6,9 @@ an overlay graph H on P.  Instances are immutable after validation and every
 operation here is a pure function.  Because an instance never changes, its
 indexes are built once and shared by every solver: the G-edge support of
 each route while the routes are validated; on first use the sorted overlay
-adjacency, the kill set of each G-edge, the cut candidates, each route
-support as an int mask and the vertex footprint of each overlay hop.
+adjacency, the kill set of each G-edge, the numbered overlay that the FDC
+separation oracle reads, the cut candidates, each route support as an int
+mask and the vertex footprint of each overlay hop.
 """
 
 from __future__ import annotations
@@ -77,6 +78,25 @@ class Instance:
             for e in self.supports[f]:
                 kill.setdefault(e, set()).add(f)
         return MappingProxyType({e: frozenset(kill[e]) for e in sorted(kill)})
+
+    @cached_property
+    def numbered_overlay(self) -> tuple[dict, dict]:
+        """The overlay edges numbered 0, 1, ... in edge order, as two maps:
+        peer u -> (v, number of uv) per overlay neighbour v in
+        ``h_neighbors`` order, and G-edge -> the increasing numbers of its
+        kill set, with the G-edges in the edge order of ``kill_sets``.
+        """
+        hops: dict[str, list] = {u: [] for u in self.peers}
+        kill: dict[Edge, list[int]] = {}
+        for i, f in enumerate(sorted(self.overlay_edges)):
+            u, v = f
+            hops[u].append((v, i))
+            hops[v].append((u, i))
+            for e in self.supports[f]:
+                kill.setdefault(e, []).append(i)
+        for vs in hops.values():
+            vs.sort()
+        return hops, {e: kill[e] for e in sorted(kill)}
 
     @cached_property
     def cut_candidates(self) -> tuple[Edge, ...]:

@@ -6,7 +6,9 @@ starts at 1.  A pivot on element ``p`` maps each entry ``v`` of a non-pivot
 row to ``(v*p - f*w) // d``, where ``f`` is the row's entry in the pivot
 column and ``w`` the pivot row's entry in the same column, and then sets
 ``d = p`` (the Edmonds/Bareiss integer-preserving pivot; the division is
-exact).  Only ``solution`` builds ``fractions.Fraction`` values.
+exact).  ``duals`` reads the dual as integers over ``d``; only ``solution``
+builds ``fractions.Fraction`` values, and column generation calls it once,
+after its last round.
 
 Bland's rule guarantees termination on degenerate instances.  The dual
 vector is read off the optimal tableau from the slack columns, so the
@@ -80,6 +82,12 @@ class PackingSimplex:
                 raise ArithmeticError("packing LP unbounded; column has no support")
             self._pivot(leave_row, enter)
             basis[leave_row] = enter
+
+    def duals(self) -> tuple[list[int], int]:
+        """(numerator per row, d): y_k = -cost[slack_k] / d, each numerator
+        nonnegative at optimality.
+        """
+        return [-c for c in self.cost[: self.n_rows]], self.d
 
     def solution(self):
         """(value, x per structural column, y per row), all exact Fractions."""

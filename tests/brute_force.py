@@ -1,11 +1,14 @@
 """Exhaustive reference oracles that only the tests use."""
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
 from deepconn.errors import BudgetExceededError, PreconditionError, ValidationError
+from deepconn.fdc import FlowResult
 from deepconn.gadgets import SetSystem
 from deepconn.model import edge_key, enumerate_simple_paths, peer_pairs, route_image
+from deepconn.simplex import PackingSimplex
 from deepconn.sparsifier import check_precondition, compute_kappa
 
 
@@ -45,6 +48,26 @@ def separation_reference(instance, s, t, y):
         default=None,
     )
     return best[2] if best is not None and best[0] < 1 else None
+
+
+def fdc_reference(instance, s, t):
+    """Column generation on Fraction duals: each round solves the packing LP,
+    reads every dual from ``solution()`` and prices them with
+    ``separation_reference``, over the LP rows ``fdc_pair`` uses.
+    """
+    rows = list(instance.kill_sets)
+    lp = PackingSimplex(len(rows))
+    generated, y = [], {}
+    while (path := separation_reference(instance, s, t, y)) is not None:
+        assert path not in generated
+        generated.append(path)
+        lp.add_column({rows.index(e): m for e, m in route_image(instance, path).items()})
+        lp.solve()
+        value, x, y_rows = lp.solution()
+        y = {e: q for e, q in zip(rows, y_rows) if q}
+    if not generated:
+        return FlowResult(Fraction(0), {}, {}, [])
+    return FlowResult(value, {p: q for p, q in zip(generated, x) if q}, y, generated)
 
 
 def lex_shortest_path(adj, s, t, dead=frozenset()):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import classic_edge_connectivity, separation_reference
+from brute_force import classic_edge_connectivity, fdc_reference, separation_reference
 from conftest import disconnected_overlay_instance, random_connected_graph, subsample_overlay
 from deepconn import fixtures
 from deepconn.errors import ValidationError
@@ -24,49 +25,47 @@ from deepconn.model import (
 from deepconn.oracles import all_pairs
 
 
+def as_numerators(y):
+    """A Fraction dual as integer numerators over the lcm of its
+    denominators, the conversion ``FlowResult.validate`` makes."""
+    scale = math.lcm(*(q.denominator for q in y.values()))
+    return {e: q.numerator * (scale // q.denominator) for e, q in y.items()}, scale
+
+
 def test_oracle_zero_weights_returns_violation(fig1):
-    path = separation_oracle(fig1, "S", "T", {})
+    path = separation_oracle(fig1, "S", "T", {}, 1)
     assert path is not None
     assert path[0] == "S" and path[-1] == "T"
 
 
 def test_oracle_unit_weights_feasible(fig1):
-    y = {e: Fraction(1) for e in fig1.edges}
-    assert separation_oracle(fig1, "S", "T", y) is None
+    assert separation_oracle(fig1, "S", "T", dict.fromkeys(fig1.edges, 1), 1) is None
 
 
 def test_oracle_half_weights_tight(fig1):
-    y = {
-        edge_key("M1", "M2"): Fraction(1, 2),
-        edge_key("D2", "D3"): Fraction(1, 2),
-        edge_key("U3", "U4"): Fraction(1, 2),
-    }
+    # Numerator 1 on three edges, over the scale 2.
+    y = dict.fromkeys([edge_key("M1", "M2"), edge_key("D2", "D3"), edge_key("U3", "U4")], 1)
     # Each of the three (S,T) routes crosses exactly two weighted edges.
     for mid in (("U1", "U4"), ("M1", "M4"), ("D1", "D4")):
         image = route_image(fig1, ("S", *mid, "T"))
-        assert sum((m * y.get(e, 0) for e, m in image.items()), Fraction(0)) == 1
-    assert separation_oracle(fig1, "S", "T", y) is None
+        assert sum(m * y.get(e, 0) for e, m in image.items()) == 2
+    assert separation_oracle(fig1, "S", "T", y, 2) is None
 
 
 def test_oracle_third_weights_violate(fig1):
     # Same weighted edges at 1/3: each route costs 2/3 < 1, so a path comes back.
-    y = {
-        edge_key("M1", "M2"): Fraction(1, 3),
-        edge_key("D2", "D3"): Fraction(1, 3),
-        edge_key("U3", "U4"): Fraction(1, 3),
-    }
-    path = separation_oracle(fig1, "S", "T", y)
+    y = dict.fromkeys([edge_key("M1", "M2"), edge_key("D2", "D3"), edge_key("U3", "U4")], 1)
+    path = separation_oracle(fig1, "S", "T", y, 3)
     assert path is not None and path[0] == "S" and path[-1] == "T"
 
 
 def test_oracle_long_path_overlay_needs_no_recursion():
     nodes = [f"p{i:05d}" for i in range(sys.getrecursionlimit() + 100)]
     inst = fixtures.identity_instance(nodes, list(zip(nodes, nodes[1:])))
-    assert separation_oracle(inst, nodes[0], nodes[-1], {}) == tuple(nodes)
+    assert separation_oracle(inst, nodes[0], nodes[-1], {}, 1) == tuple(nodes)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+ORACLE_CASES = dict(
     seed=st.integers(0, 10**6),
     n_nodes=st.integers(3, 7),
     keep=st.floats(0.2, 1.0),
@@ -78,15 +77,39 @@ def test_oracle_long_path_overlay_needs_no_recursion():
         max_size=21,
     ),
 )
-def test_oracle_matches_reference(seed, n_nodes, keep, policy, duals):
+
+
+def oracle_case(seed, n_nodes, keep, policy, duals):
+    """A random instance with a subsampled overlay and a Fraction dual on
+    its G-edges."""
     rng = random.Random(seed)
     full = random_instance(n_nodes, rng.randint(2, n_nodes), 0.6, policy, seed=seed)
     inst = subsample_overlay(rng, full, keep)
-    y = dict(zip(sorted(inst.edges), duals))
+    return inst, dict(zip(sorted(inst.edges), duals))
+
+
+@settings(max_examples=300, deadline=None)
+@given(**ORACLE_CASES)
+def test_oracle_matches_reference(**case):
+    inst, y = oracle_case(**case)
+    nums, scale = as_numerators(y)
     for s, t in peer_pairs(inst):
-        assert separation_oracle(inst, s, t, y) == separation_reference(inst, s, t, y)
+        assert separation_oracle(inst, s, t, nums, scale) == separation_reference(inst, s, t, y)
         # fdc_pair's first column.
-        assert separation_oracle(inst, s, t, {}) == shortest_path(inst.h_neighbors, s, t)
+        assert separation_oracle(inst, s, t, {}, 1) == shortest_path(inst.h_neighbors, s, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 1000), **ORACLE_CASES)
+def test_oracle_path_does_not_depend_on_the_common_denominator(k, **case):
+    # fdc_pair prices over the tableau's denominator, a multiple of the lcm.
+    inst, y = oracle_case(**case)
+    nums, scale = as_numerators(y)
+    multiplied = {e: k * v for e, v in nums.items()}
+    for s, t in peer_pairs(inst):
+        assert separation_oracle(inst, s, t, multiplied, k * scale) == separation_oracle(
+            inst, s, t, nums, scale
+        )
 
 
 def test_fdc_fig1(fig1):
@@ -103,6 +126,27 @@ def test_fdc_shared_edge(shared_edge):
     result = fdc_pair(shared_edge, "s", "t")
     assert result.value == Fraction(1, 2)
     result.validate(shared_edge, "s", "t")
+
+
+def test_fdc_generates_the_fraction_loop_columns(fig1, shared_edge):
+    for inst, s, t in ((fig1, "S", "T"), (shared_edge, "s", "t")):
+        assert fdc_pair(inst, s, t) == fdc_reference(inst, s, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_nodes=st.integers(5, 8),
+    keep=st.floats(0.4, 1.0),
+    policy=st.sampled_from(ROUTE_POLICIES),
+)
+def test_fdc_matches_the_fraction_loop(seed, n_nodes, keep, policy):
+    rng = random.Random(seed)
+    # At most six peers keep the reference's path enumeration small.
+    full = random_instance(n_nodes, rng.randint(3, min(6, n_nodes)), 0.5, policy, seed=seed)
+    inst = subsample_overlay(rng, full, keep)
+    for s, t in peer_pairs(inst):
+        assert fdc_pair(inst, s, t) == fdc_reference(inst, s, t)
 
 
 def test_flow_result_certifies_only_its_own_pair(triangle):
@@ -164,7 +208,9 @@ def test_flow_result_rejects_an_empty_path(fig1):
 
 def test_oracle_rejects_a_negative_weight(fig1):
     with pytest.raises(ValidationError, match="dual weights must be nonnegative"):
-        separation_oracle(fig1, "S", "T", {edge_key("M1", "M2"): Fraction(-1, 2)})
+        separation_oracle(fig1, "S", "T", {edge_key("M1", "M2"): -1}, 2)
+    with pytest.raises(ValidationError, match="dual scale must be positive"):
+        separation_oracle(fig1, "S", "T", {}, 0)
 
 
 def test_fdc_all_pairs_triangle(triangle):

@@ -49,6 +49,9 @@ def test_warm_started_solves_are_optimal(case):
         lp.solve()
         assert_optimal(lp, columns)
         assert lp.solution()[0] == solve_from_scratch(n_rows, columns).solution()[0]
+        nums, d = lp.duals()
+        assert all(num >= 0 for num in nums)
+        assert [Fraction(num, d) for num in nums] == lp.solution()[2]
 
 
 class CountingSimplex(PackingSimplex):
