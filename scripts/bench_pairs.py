@@ -3,17 +3,20 @@
 Usage, from the root of a checkout:
 
     python scripts/bench_pairs.py --workload fdc-colgen --pairs 10 \\
-        [--base HEAD] [--seconds 35] [--first-seed 1] [-o BENCH.json]
+        [--base HEAD] [--first-seed 1] [-o BENCH.json]
 
-Exports the committed files of the base ref (``git archive``) into a
-temporary directory, then runs ``dcbench/run.py`` once on that copy and once
-on the working tree per pair, pair i with seed first-seed + i on both sides
-and the base first in even pairs.  Prints each side's first quartile, median
-and third quartile for every end-to-end metric of ``BENCHMARK.json``, and in
-how many pairs the working tree was better (a tie counts for neither side).
-With ``-o``, the result is stored under the workload's name in a JSON object
-in that file, with the command line that made it; other workloads' entries
-are kept.
+Exports the committed files of the base ref (``git archive``) and the
+working tree's files that git tracks or does not ignore into two temporary
+directories, so that both sides run from fresh copies, as the benchmark runs
+them.  Then runs ``dcbench/run.py`` once in each copy per pair, each run as
+long as ``BENCHMARK.json``'s ``run_seconds``, pair i with seed first-seed + i
+on both sides and the base first in even pairs.  Prints each side's first
+quartile, median and third quartile for every end-to-end metric of
+``BENCHMARK.json``, and in how many pairs the working tree was better (a tie
+counts for neither side).  With ``-o``, the result is stored under the
+workload's name in a JSON object in that file, with a command line that
+reruns the same comparison (the base named by its sha); other workloads'
+entries are kept.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
@@ -32,6 +36,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def export_working_tree(dest: Path) -> None:
+    """Copy the working tree's files that git tracks or does not ignore."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in names.decode().split("\0"):
+        src = ROOT / name
+        if name and src.is_file():  # a tracked file may be deleted
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -72,38 +86,40 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--base", default="HEAD")
-    parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("-o", "--output", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     base_sha = git("rev-parse", args.base).decode().strip()
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        base_dir = Path(tmp)
-        subprocess.run(["tar", "-x", "-C", tmp], input=git("archive", base_sha), check=True)
+        checkouts = {"base": Path(tmp, "base"), "change": Path(tmp, "change")}
+        for checkout in checkouts.values():
+            checkout.mkdir()
+        archive = git("archive", base_sha)
+        subprocess.run(["tar", "-x", "-C", checkouts["base"]], input=archive, check=True)
+        export_working_tree(checkouts["change"])
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             run = {"seed": seed, "first": order[0]}
             for side in order:
-                checkout = base_dir if side == "base" else ROOT
-                run[side] = run_bench(checkout, args.workload, seed, args.seconds)
+                run[side] = run_bench(checkouts[side], args.workload, seed, seconds)
             runs.append(run)
             print(f"pair {i + 1}/{args.pairs} seed {seed}: ops_per_s "
                   f"base {run['base']['metrics']['ops_per_s']:.1f} "
                   f"change {run['change']['metrics']['ops_per_s']:.1f}", file=sys.stderr)
 
-    summary = summarize(runs, end_to_end)
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
+    summary = summarize(runs, benchmark["end_to_end"])
+    print(f"{args.workload}: {args.pairs} pairs of {seconds:g} s runs, "
           f"base {base_sha[:12]} vs working tree")
     print(f"{'metric':<14}{'base q1 / median / q3':>30}{'change q1 / median / q3':>30}  wins")
     for name, s in summary.items():
@@ -117,10 +133,14 @@ def main(argv=None) -> int:
     if args.output:
         doc = json.loads(args.output.read_text()) if args.output.exists() else {}
         doc[args.workload] = {
-            "command": shlex.join(["python", "scripts/bench_pairs.py", *argv]),
+            "command": shlex.join([
+                "python", "scripts/bench_pairs.py", "--workload", args.workload,
+                "--pairs", str(args.pairs), "--base", base_sha,
+                "--first-seed", str(args.first_seed), "-o", str(args.output),
+            ]),
             "base": base_sha,
             "python": sys.version.split()[0],
-            "seconds": args.seconds,
+            "seconds": seconds,
             "summary": summary,
             "runs": runs,
         }

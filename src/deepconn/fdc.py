@@ -91,12 +91,13 @@ def separation_oracle(
     n = len(instance.peers)
     # Each G-edge g in y's support adds its mass to the overlay edges routed
     # through it.
-    hops, kill = instance.numbered_overlay
+    number, hops = instance.numbered_overlay
+    kill = instance.kill_sets
     w = [1] * len(instance.overlay_edges)
     for g, v in y.items():
         x = v * n
         for f in kill.get(g, ()):
-            w[f] += x
+            w[number[f]] += x
 
     # Dijkstra from t; dist[v] = cheapest (v,t) overlay distance.
     dist: dict[str, int] = {t: 0}
@@ -135,7 +136,7 @@ def fdc_pair(instance: Instance, s: str, t: str) -> FlowResult:
 
     # Fix the row set once so the program only ever grows by columns and the
     # solver can warm-start from the previous optimal basis.
-    row_edges = list(instance.numbered_overlay[1])
+    row_edges = list(instance.kill_sets)
     row_index = {e: i for i, e in enumerate(row_edges)}
     lp = PackingSimplex(len(row_edges))
 

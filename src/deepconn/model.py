@@ -80,23 +80,20 @@ class Instance:
         return MappingProxyType({e: frozenset(kill[e]) for e in sorted(kill)})
 
     @cached_property
-    def numbered_overlay(self) -> tuple[dict, dict]:
-        """The overlay edges numbered 0, 1, ... in edge order, as two maps:
-        peer u -> (v, number of uv) per overlay neighbour v in
-        ``h_neighbors`` order, and G-edge -> the increasing numbers of its
-        kill set, with the G-edges in the edge order of ``kill_sets``.
+    def numbered_overlay(self) -> tuple[Mapping[Edge, int], Mapping[str, tuple]]:
+        """The overlay edges numbered 0, 1, ... in edge order, as two
+        read-only maps: both orientations of each overlay edge -> its
+        number, and peer u -> its (v, number of uv) hops in ``h_neighbors``
+        order.
         """
-        hops: dict[str, list] = {u: [] for u in self.peers}
-        kill: dict[Edge, list[int]] = {}
-        for i, f in enumerate(sorted(self.overlay_edges)):
-            u, v = f
-            hops[u].append((v, i))
-            hops[v].append((u, i))
-            for e in self.supports[f]:
-                kill.setdefault(e, []).append(i)
-        for vs in hops.values():
-            vs.sort()
-        return hops, {e: kill[e] for e in sorted(kill)}
+        number = {}
+        for i, (u, v) in enumerate(sorted(self.overlay_edges)):
+            number[u, v] = number[v, u] = i
+        hops = {
+            u: tuple([(v, number[u, v]) for v in vs])
+            for u, vs in self._h_adjacency.items()
+        }
+        return MappingProxyType(number), MappingProxyType(hops)
 
     @cached_property
     def cut_candidates(self) -> tuple[Edge, ...]:

@@ -479,6 +479,16 @@ def test_indexes_match_their_definitions(seed, n_nodes, keep, policy):
         for e in sorted(inst.edges)
     }
     assert list(inst.kill_sets.items()) == [(e, f) for e, f in kill.items() if f]
+    number, hops = inst.numbered_overlay
+    assert {number[f] for f in inst.overlay_edges} == set(range(len(inst.overlay_edges)))
+    for u, v in inst.overlay_edges:
+        assert number[u, v] == number[v, u]
+    for u in inst.peers:
+        assert hops[u] == tuple((v, number[u, v]) for v in inst.h_neighbors(u))
+    with pytest.raises(TypeError):
+        number[next(iter(number))] = 0
+    with pytest.raises(TypeError):
+        hops[inst.peers[0]] = ()
     with pytest.raises(TypeError):
         inst.routes[next(iter(inst.routes))] = ("x", "y")
     with pytest.raises(TypeError):
