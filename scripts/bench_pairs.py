@@ -16,7 +16,9 @@ quartile, median and third quartile for every end-to-end metric of
 counts for neither side).  With ``-o``, the result is stored under the
 workload's name in a JSON object in that file, with a command line that
 reruns the same comparison (the base named by its sha); other workloads'
-entries are kept.
+entries are kept.  Exits 1 when an op failed or a run read ``correct:
+false`` on either side, after storing the result, so the record of a bad
+run is kept.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def main(argv=None) -> int:
             "runs": runs,
         }
         args.output.write_text(json.dumps(doc, indent=2) + "\n")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -242,7 +242,8 @@ def random_instance(
     peers = sorted(rng.sample(nodes, n_peers))
     overlay = list(combinations(peers, 2))
     if route_policy == "shortest_path":
-        routes = {pair: shortest_path(adj.__getitem__, *pair) for pair in overlay}
+        hops = {u: [(v, 0) for v in vs] for u, vs in adj.items()}
+        routes = {pair: shortest_path(hops, (0,), *pair) for pair in overlay}
     else:
         routes = {pair: _random_simple_path(adj, *pair, rng) for pair in overlay}
     return build_instance(nodes, edges, peers, overlay, routes)

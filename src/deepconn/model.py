@@ -5,10 +5,16 @@ a symmetric routing scheme rho (unordered peer pair -> simple path in G) and
 an overlay graph H on P.  Instances are immutable after validation and every
 operation here is a pure function.  Because an instance never changes, its
 indexes are built once and shared by every solver: the G-edge support of
-each route while the routes are validated; on first use the sorted overlay
-adjacency, the kill set of each G-edge, the numbered overlay that the FDC
-separation oracle reads, the cut candidates, each route support as an int
-mask and the vertex footprint of each overlay hop.
+each route while the routes are validated; on first use the numbered
+overlay (each overlay edge's number and each peer's (neighbour, number)
+hops, which every overlay search walks), the kill set of each G-edge, the
+cut candidates, the bit of each G-edge, each overlay edge's route support
+as an int mask over those bits, indexed by its number, and the vertex
+footprint of each overlay hop.
+
+A failure, a set of failed G-edges, is an int mask over the G-edge bits.
+An overlay edge fails with any G-edge of its route, so a hop is alive iff
+its support mask misses the failure.
 """
 
 from __future__ import annotations
@@ -64,10 +70,6 @@ class Instance:
         return len(self.routes) == n * (n - 1) // 2
 
     @cached_property
-    def _h_adjacency(self) -> dict[str, tuple[str, ...]]:
-        return {u: tuple(vs) for u, vs in adjacency(self.peers, self.overlay_edges).items()}
-
-    @cached_property
     def kill_sets(self) -> Mapping[Edge, frozenset[Edge]]:
         """G-edge -> the overlay edges routed through it, in edge order.
 
@@ -83,15 +85,15 @@ class Instance:
     def numbered_overlay(self) -> tuple[Mapping[Edge, int], Mapping[str, tuple]]:
         """The overlay edges numbered 0, 1, ... in edge order, as two
         read-only maps: both orientations of each overlay edge -> its
-        number, and peer u -> its (v, number of uv) hops in ``h_neighbors``
-        order.
+        number, and peer u -> its (v, number of uv) hops in the order of
+        the overlay neighbours v.
         """
         number = {}
         for i, (u, v) in enumerate(sorted(self.overlay_edges)):
             number[u, v] = number[v, u] = i
         hops = {
             u: tuple([(v, number[u, v]) for v in vs])
-            for u, vs in self._h_adjacency.items()
+            for u, vs in adjacency(self.peers, self.overlay_edges).items()
         }
         return MappingProxyType(number), MappingProxyType(hops)
 
@@ -118,11 +120,11 @@ class Instance:
         """
         bit = self._node_bits
         peer, walk = {}, {}
-        for u, vs in self._h_adjacency.items():
-            peer[u] = tuple((v, bit[v]) for v in vs)
+        for u, vs in self.numbered_overlay[1].items():
+            peer[u] = tuple((v, bit[v]) for v, _ in vs)
             walk[u] = tuple(
                 (v, sum(bit[x] for x in self.routes[edge_key(u, v)]) - bit[u])
-                for v in vs
+                for v, _ in vs
             )
         return peer, walk
 
@@ -132,18 +134,17 @@ class Instance:
         return MappingProxyType({e: 1 << i for i, e in enumerate(sorted(self.edges))})
 
     @cached_property
-    def support_masks(self) -> Mapping[tuple[str, str], int]:
-        """Both orientations of each overlay edge -> the mask of its route
-        support over ``edge_bits``.
+    def support_masks(self) -> tuple[int, ...]:
+        """Overlay edge number -> the mask of its route support over
+        ``edge_bits``.
         """
         bit = self.edge_bits
-        masks = {}
-        for u, v in self.overlay_edges:
-            masks[u, v] = masks[v, u] = sum(bit[e] for e in self.supports[u, v])
-        return MappingProxyType(masks)
+        return tuple(
+            sum(bit[e] for e in self.supports[f]) for f in sorted(self.overlay_edges)
+        )
 
     def h_neighbors(self, u: str) -> tuple[str, ...]:
-        return self._h_adjacency.get(u, ())
+        return tuple(v for v, _ in self.numbered_overlay[1].get(u, ()))
 
     def route_support(self, u: str, v: str) -> frozenset[Edge]:
         return self.supports[edge_key(u, v)]
@@ -194,13 +195,15 @@ def peer_pairs(instance: Instance):
     return combinations(sorted(instance.peers), 2)
 
 
-def shortest_path(neighbors, s: str, t: str, dead=frozenset()) -> Path | None:
-    """The lexicographically first fewest-hop (s,t)-path avoiding the edges
-    in dead (canonical keys); None when t is unreachable.
+def shortest_path(hops, masks, s: str, t: str, failed: int = 0) -> Path | None:
+    """The lexicographically first fewest-hop (s,t)-path that survives the
+    failure ``failed``; None when t is unreachable.
 
-    ``neighbors(u)`` lists u's neighbours in sorted order.  Breadth-first
-    search from s then reaches the vertices of each layer in the order of
-    their lexicographically first shortest paths, so the vertex that first
+    ``hops[u]`` lists u's (neighbour, number) hops in sorted neighbour
+    order, as ``Instance.numbered_overlay`` does, and a hop is alive iff
+    ``masks[number]`` misses the int mask ``failed``.  Breadth-first search
+    from s then reaches the vertices of each layer in the order of their
+    lexicographically first shortest paths, so the vertex that first
     reaches v lies on v's lexicographically first shortest path, and the
     chain of first discoverers back from t is t's.
     """
@@ -213,8 +216,8 @@ def shortest_path(neighbors, s: str, t: str, dead=frozenset()) -> Path | None:
             while path[-1] != s:
                 path.append(prev[path[-1]])
             return tuple(reversed(path))
-        for v in neighbors(u):
-            if v not in prev and edge_key(u, v) not in dead:
+        for v, f in hops[u]:
+            if v not in prev and not masks[f] & failed:
                 prev[v] = u
                 queue.append(v)
     return None

@@ -36,7 +36,9 @@ class CutCertificate:
 
     def validate(self, instance: Instance, s: str, t: str) -> None:
         check_pair(instance, s, t)
-        if _survivor(instance, self.edges, s, t) is not None:
+        # A key that is no G-edge, or a reversed one, fails nothing.
+        failed = sum(instance.edge_bits.get(e, 0) for e in self.edges)
+        if _survivor(instance, failed, s, t) is not None:
             raise ValidationError("cut certificate does not disconnect the pair")
 
 
@@ -60,31 +62,30 @@ class PathPacking:
             used.update(image)
 
 
-def _survivor(instance: Instance, cut, s: str, t: str) -> Path | None:
+def _survivor(instance: Instance, failed: int, s: str, t: str) -> Path | None:
     """The overlay (s,t)-path that survives the failure of the G-edges in
-    cut, the lexicographically first fewest-hop one; None when the cut
-    disconnects the pair.
+    the mask ``failed`` over ``instance.edge_bits``, the lexicographically
+    first fewest-hop one; None when the failure disconnects the pair.
     """
-    dead = set().union(*(instance.kill_sets.get(e, ()) for e in cut))
-    return shortest_path(instance.h_neighbors, s, t, dead)
+    hops = instance.numbered_overlay[1]
+    return shortest_path(hops, instance.support_masks, s, t, failed)
 
 
 def seed_packing(instance: Instance, s: str, t: str) -> list[Path]:
     """Overlay (s,t)-paths with pairwise disjoint images, found greedily.
 
     Each path is the lexicographically first fewest-hop overlay (s,t)-path
-    that survives the failure of the earlier paths' images, so every cut
-    needs one G-edge per seed path.  The seed's size bounds ERDC and PDDC
-    from below, and its simply implemented paths bound SPDDC and FDC.
+    that survives the failure of the earlier paths' images: the failure is
+    one G-edge mask, and each path ORs its image mask into it.  So every
+    cut needs one G-edge per seed path.  The seed's size bounds ERDC and
+    PDDC from below, and its simply implemented paths bound SPDDC and FDC.
     """
     check_pair(instance, s, t)
-    kill = instance.kill_sets
-    dead: set[Edge] = set()
+    failed = 0
     seed = []
-    while (path := shortest_path(instance.h_neighbors, s, t, dead)) is not None:
+    while (path := _survivor(instance, failed, s, t)) is not None:
         seed.append(path)
-        image = set().union(*map(instance.route_support, path, path[1:]))
-        dead.update(*(kill[e] for e in image))
+        failed |= _image_masks(instance, [path])[0]
     return seed
 
 
@@ -109,6 +110,7 @@ def erdc_pair(
     """
     seed = seed_packing(instance, s, t)
     candidates = instance.cut_candidates
+    bits = [instance.edge_bits[e] for e in candidates]
     masks = [0] * len(candidates)
     family = 0  # one bit per known surviving path
 
@@ -119,9 +121,9 @@ def erdc_pair(
         nonlocal family
         bit = family + 1
         family |= bit
-        image = set().union(*map(instance.route_support, path, path[1:]))
-        for c, e in enumerate(candidates):
-            if e in image:
+        image = _image_masks(instance, [path])[0]
+        for c, b in enumerate(bits):
+            if image & b:
                 masks[c] |= bit
 
     for path in seed:
@@ -143,10 +145,9 @@ def erdc_pair(
                 hit |= masks[c]
             if hit != family:
                 continue
-            cut = [candidates[c] for c in subset]
-            path = _survivor(instance, cut, s, t)
+            path = _survivor(instance, sum(bits[c] for c in subset), s, t)
             if path is None:
-                return size, CutCertificate(frozenset(cut))
+                return size, CutCertificate(frozenset(candidates[c] for c in subset))
             learn(path)
     raise AssertionError("removing every routed edge must disconnect the pair")
 
@@ -219,12 +220,13 @@ def _packing(
 
 def _image_masks(instance: Instance, paths: list[Path]) -> list[int]:
     """The image support of each path as a mask over ``instance.edge_bits``."""
+    number = instance.numbered_overlay[0]
     hop = instance.support_masks
     masks = []
     for path in paths:
         mask = 0
         for step in zip(path, path[1:]):
-            mask |= hop[step]
+            mask |= hop[number[step]]
         masks.append(mask)
     return masks
 

@@ -7,7 +7,13 @@ from itertools import combinations
 from deepconn.errors import BudgetExceededError, PreconditionError, ValidationError
 from deepconn.fdc import FlowResult
 from deepconn.gadgets import SetSystem
-from deepconn.model import edge_key, enumerate_simple_paths, peer_pairs, route_image
+from deepconn.model import (
+    adjacency,
+    edge_key,
+    enumerate_simple_paths,
+    peer_pairs,
+    route_image,
+)
 from deepconn.simplex import PackingSimplex
 from deepconn.sparsifier import check_precondition, compute_kappa
 
@@ -97,6 +103,20 @@ def lex_shortest_path(adj, s, t, dead=frozenset()):
             )
         )
     return tuple(path)
+
+
+def seed_reference(instance, s, t):
+    """The greedy seed over sets of dead overlay edges: each path is the
+    ``lex_shortest_path`` that avoids the kill sets of the G-edges on the
+    earlier paths' images.
+    """
+    adj = adjacency(instance.peers, instance.overlay_edges)
+    dead, seed = set(), []
+    while (path := lex_shortest_path(adj, s, t, dead)) is not None:
+        seed.append(path)
+        for e in route_image(instance, path):
+            dead |= instance.kill_sets[e]
+    return seed
 
 
 def set_packing_brute_force(system: SetSystem, k: int, budget: int = 1_000_000) -> bool:

@@ -147,6 +147,20 @@ def test_forty_node_fdc_pair(capsys):
     fdc_pair(instance, "n00", "n38").validate(instance, "n00", "n38")
 
 
+def test_erdc_all_pairs_on_the_complete_twenty_peer_overlay(capsys):
+    code, out, err = run(
+        capsys, "erdc", "-i", str(FORTY_NODES), "--all-pairs", "--witness", "--json"
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["value"] == 2
+    assert report["argmin_pair"] == ["n00", "n01"]
+    assert report["witness"]["cut"] == [["n01", "n08"], ["n01", "n28"]]
+    instance = parse_instance(FORTY_NODES.read_text())
+    cut = CutCertificate(frozenset(tuple(e) for e in report["witness"]["cut"]))
+    cut.validate(instance, "n00", "n01")
+
+
 def test_all_pairs(fig1_path, capsys):
     code, out, _ = run(capsys, "pddc", "-i", fig1_path, "--all-pairs", "--json")
     assert code == 0

@@ -96,7 +96,9 @@ def test_oracle_matches_reference(**case):
     for s, t in peer_pairs(inst):
         assert separation_oracle(inst, s, t, nums, scale) == separation_reference(inst, s, t, y)
         # fdc_pair's first column.
-        assert separation_oracle(inst, s, t, {}, 1) == shortest_path(inst.h_neighbors, s, t)
+        assert separation_oracle(inst, s, t, {}, 1) == shortest_path(
+            inst.numbered_overlay[1], inst.support_masks, s, t
+        )
 
 
 @settings(max_examples=150, deadline=None)

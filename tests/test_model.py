@@ -303,8 +303,13 @@ def test_shortest_path_matches_reference(seed, n, density, dead_share):
     for u in adj:
         adj[u].sort()
     dead = frozenset(e for e in edges if rng.random() < dead_share)
+    # Edge i is hop number i, and its mask is bit i.
+    number = {e: i for i, e in enumerate(edges)}
+    hops = {u: [(v, number[edge_key(u, v)]) for v in vs] for u, vs in adj.items()}
+    masks = [1 << i for i in range(len(edges))]
+    failed = sum(1 << number[e] for e in dead)
     for s, t in itertools.permutations(names, 2):
-        assert shortest_path(adj.__getitem__, s, t, dead) == lex_shortest_path(adj, s, t, dead)
+        assert shortest_path(hops, masks, s, t, failed) == lex_shortest_path(adj, s, t, dead)
 
 
 def test_roundtrip(fig1, shared_edge, triangle):
@@ -485,6 +490,10 @@ def test_indexes_match_their_definitions(seed, n_nodes, keep, policy):
         assert number[u, v] == number[v, u]
     for u in inst.peers:
         assert hops[u] == tuple((v, number[u, v]) for v in inst.h_neighbors(u))
+        assert inst.h_neighbors(u) == tuple(v for v, _ in hops[u])
+    assert inst.support_masks == tuple(
+        sum(inst.edge_bits[e] for e in inst.supports[f]) for f in sorted(inst.overlay_edges)
+    )
     with pytest.raises(TypeError):
         number[next(iter(number))] = 0
     with pytest.raises(TypeError):

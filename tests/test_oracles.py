@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import classic_edge_connectivity
+from brute_force import classic_edge_connectivity, lex_shortest_path, seed_reference
 from conftest import (
     disconnected_overlay_instance,
     random_connected_graph,
@@ -17,11 +17,12 @@ from deepconn.cli import _witness
 from deepconn.errors import BudgetExceededError, ValidationError
 from deepconn.fdc import fdc_pair
 from deepconn.gadgets import ROUTE_POLICIES, random_instance
-from deepconn.model import peer_pairs, shortest_path
+from deepconn.model import adjacency, peer_pairs
 from deepconn.oracles import (
     CutCertificate,
     PathPacking,
     _max_packing,
+    _survivor,
     all_pairs,
     erdc_pair,
     pair_parameter,
@@ -41,16 +42,39 @@ def test_erdc_fig1(fig1):
 def test_erdc_minimality_fig1(fig1):
     # No single underlying edge disconnects S from T: exhaustive check.
     for e in sorted(fig1.edges):
-        single = frozenset([e])
-        from deepconn.oracles import _survivor
-
-        assert _survivor(fig1, single, "S", "T") is not None
+        assert _survivor(fig1, fig1.edge_bits[e], "S", "T") is not None
 
 
 def test_cut_certificate_rejects_a_non_peer_pair(fig1):
     # The empty cut leaves S unable to reach a node that is not a peer.
     with pytest.raises(ValidationError, match="not a peer"):
         CutCertificate(frozenset()).validate(fig1, "S", "ZZ")
+
+
+def test_cut_certificate_counts_only_routed_g_edges(fig1):
+    _, cut = erdc_pair(fig1, "S", "T")
+    assert cut.edges == {("D1", "D2"), ("M1", "M2")}
+    # A non-edge fails nothing, nor does the unrouted G-edge (D3,D4).
+    CutCertificate(cut.edges | {("S", "ZZ")}).validate(fig1, "S", "T")
+    assert ("D3", "D4") in fig1.edges
+    for e in sorted(cut.edges):
+        with_d3d4 = fig1.edge_bits[e] | fig1.edge_bits["D3", "D4"]
+        assert _survivor(fig1, with_d3d4, "S", "T") == _survivor(
+            fig1, fig1.edge_bits[e], "S", "T"
+        )
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        {("S", "ZZ")},
+        {("D2", "D1"), ("M2", "M1")},  # the cut's edges as reversed keys
+        {("D1", "D2"), ("D3", "D4")},
+    ],
+)
+def test_cut_certificate_with_odd_edges_is_rejected(fig1, edges):
+    with pytest.raises(ValidationError, match="does not disconnect the pair"):
+        CutCertificate(frozenset(edges)).validate(fig1, "S", "T")
 
 
 def test_path_packing_certifies_only_its_own_pair(fig1):
@@ -132,6 +156,32 @@ def test_seed_packing_is_a_packing(fig1):
         seed = seed_packing(fig1, s, t)
         PathPacking(seed).validate(fig1, s, t)
         assert 0 < len(seed) <= erdc_pair(fig1, s, t)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_nodes=st.integers(6, 12),
+    keep=st.floats(0.3, 1.0),
+    fail_share=st.floats(0.0, 0.3),
+    policy=st.sampled_from(ROUTE_POLICIES),
+)
+def test_seed_and_survivor_match_the_kill_set_reference(
+    seed, n_nodes, keep, fail_share, policy
+):
+    """Failure masks give the seeds and survivors that the kill-set unions
+    of the overlay edges give.
+    """
+    rng = random.Random(seed)
+    full = random_instance(n_nodes, rng.randint(2, min(n_nodes, 8)), 0.4, policy, seed=seed)
+    inst = subsample_overlay(rng, full, keep)
+    adj = adjacency(inst.peers, inst.overlay_edges)
+    for s, t in peer_pairs(inst):
+        assert seed_packing(inst, s, t) == seed_reference(inst, s, t)
+        failed = [e for e in sorted(inst.edges) if rng.random() < fail_share]
+        dead = set().union(*(inst.kill_sets.get(e, ()) for e in failed))
+        mask = sum(inst.edge_bits[e] for e in failed)
+        assert _survivor(inst, mask, s, t) == lex_shortest_path(adj, s, t, dead)
 
 
 @pytest.mark.parametrize(
@@ -251,6 +301,7 @@ def test_pair_validation(fig1):
 
 def erdc_reference(instance, s, t):
     """Plain lexicographic enumeration over the routed G-edges, one BFS each."""
+    adj = adjacency(instance.peers, instance.overlay_edges)
     routed = sorted(
         {e for f in instance.overlay_edges for e in instance.route_support(*f)}
     )
@@ -261,7 +312,7 @@ def erdc_reference(instance, s, t):
                 for f in instance.overlay_edges
                 if instance.route_support(*f).intersection(subset)
             }
-            if shortest_path(instance.h_neighbors, s, t, dead) is None:
+            if lex_shortest_path(adj, s, t, dead) is None:
                 return size, frozenset(subset)
     raise AssertionError("removing every routed edge must disconnect the pair")
 
