@@ -13,12 +13,14 @@ long as ``BENCHMARK.json``'s ``run_seconds``, pair i with seed first-seed + i
 on both sides and the base first in even pairs.  Prints each side's first
 quartile, median and third quartile for every end-to-end metric of
 ``BENCHMARK.json``, and in how many pairs the working tree was better (a tie
-counts for neither side).  With ``-o``, the result is stored under the
-workload's name in a JSON object in that file, with a command line that
-reruns the same comparison (the base named by its sha); other workloads'
-entries are kept.  Exits 1 when an op failed or a run read ``correct:
-false`` on either side, after storing the result, so the record of a bad
-run is kept.
+counts for neither side).  After the pairs, runs one traced run
+(``--trace 1``, seed first-seed, as long) in each copy; their per-layer
+metrics are stored beside the pairs as ``layers``.  With ``-o``, the result
+is stored under the workload's name in a JSON object in that file, with a
+command line that reruns the same comparison (the base named by its sha);
+other workloads' entries are kept.  Exits 1 when an op failed or a run,
+traced or not, read ``correct: false`` on either side, after storing the
+result, so the record of a bad run is kept.
 """
 
 from __future__ import annotations
@@ -50,11 +52,13 @@ def export_working_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(
+    checkout: Path, workload: str, seed: int, seconds: float, trace: bool = False
+) -> dict:
     """The result line of one ``dcbench/run.py`` run in ``checkout``."""
     out = subprocess.run(
         [sys.executable, "dcbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))],
         cwd=checkout, check=True, capture_output=True, text=True,
     ).stdout
     result = json.loads(out.splitlines()[-1])
@@ -119,6 +123,8 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs} seed {seed}: ops_per_s "
                   f"base {run['base']['metrics']['ops_per_s']:.1f} "
                   f"change {run['change']['metrics']['ops_per_s']:.1f}", file=sys.stderr)
+        layers = {side: run_bench(checkouts[side], args.workload, args.first_seed,
+                                  seconds, trace=True) for side in ("base", "change")}
 
     summary = summarize(runs, benchmark["end_to_end"])
     print(f"{args.workload}: {args.pairs} pairs of {seconds:g} s runs, "
@@ -129,7 +135,7 @@ def main(argv=None) -> int:
                  for side in ("base", "change")]
         print(f"{name:<14}{cells[0]:>30}{cells[1]:>30}  {s['change_wins']}/{s['pairs']}")
     failed = sum(r[side]["failed"] + (not r[side]["correct"])
-                 for r in runs for side in ("base", "change"))
+                 for r in [*runs, layers] for side in ("base", "change"))
     print(f"incorrect or failed: {failed}")
 
     if args.output:
@@ -145,6 +151,7 @@ def main(argv=None) -> int:
             "seconds": seconds,
             "summary": summary,
             "runs": runs,
+            "layers": layers,
         }
         args.output.write_text(json.dumps(doc, indent=2) + "\n")
     return 1 if failed else 0

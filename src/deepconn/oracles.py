@@ -20,7 +20,6 @@ from .model import (
     enumerate_simple_paths,
     is_simple_concatenation,
     peer_pairs,
-    route_image,
     shortest_path,
 )
 
@@ -52,14 +51,13 @@ class PathPacking:
         self, instance: Instance, s: str, t: str, simple_only: bool = False
     ) -> None:
         check_pair(instance, s, t, self.paths)
-        used: set[Edge] = set()
-        for p in self.paths:
-            image = route_image(instance, p)
-            if not used.isdisjoint(image):
+        used = 0
+        for p, image in zip(self.paths, _image_masks(instance, self.paths)):
+            if used & image:
                 raise ValidationError("packing images intersect")
             if simple_only and not is_simple_concatenation(instance, p):
                 raise ValidationError("packing path is not simply implemented")
-            used.update(image)
+            used |= image
 
 
 def _survivor(instance: Instance, failed: int, s: str, t: str) -> Path | None:

@@ -10,11 +10,15 @@ the number of components minus one of the peers joined by the overlay
 edges routed around that G-edge.  The state keeps one int per peer pair,
 its separation mask: bit i is set when the pair's endpoints lie in
 different components for tracked edge i and that edge is not on the
-pair's route.  Adding the pair merges exactly those components, so delta
-is the mask's popcount.  Adding an edge visits only its mask's bits: for
-each, it merges the smaller component's member list into the larger and
-clears the bit on every pair across the two, so the work over a whole run
-is bounded by the cross pairs of the starting partitions.
+pair's route.  ``compute_kappa`` tests this against the stored route
+supports, ``Instance.supports``: partition i is a breadth-first labelling
+over the overlay hops whose supports miss tracked[i], and a pair across two
+of its groups gets bit i iff its own support misses tracked[i].  Adding the
+pair merges exactly those components, so delta is the mask's popcount.
+Adding an edge visits only its mask's bits: for each, it merges the
+smaller component's member list into the larger and clears the bit on
+every pair across the two, so the work over a whole run is bounded by the
+cross pairs of the starting partitions.
 
 Each greedy round rescores every live peer pair, one popcount each, and
 adds the first pair of largest gain in ``peer_pairs`` order.  A pair whose
@@ -80,26 +84,17 @@ def compute_kappa(instance: Instance, overlay, tree) -> AugmentationState:
     if stray:
         raise ValidationError(f"edge {min(stray)} is not a pair of distinct peers")
     tracked = tuple(sorted(set().union(*(supports[e] for e in tree))))
-    index = {e_i: i for i, e_i in enumerate(tracked)}
-    # on_route[p]: the tracked edges on p's route, as a bitmask.
-    on_route = {}
-    for p, support in supports.items():
-        mask = 0
-        for e in support:
-            if e in index:
-                mask |= 1 << index[e]
-        on_route[p] = mask
-    # Each peer's overlay neighbours, with the on_route mask of the edge.
-    hops: dict[str, list[tuple[str, int]]] = {x: [] for x in instance.peers}
+    # Each peer's overlay neighbours, with the route support of the edge.
+    hops: dict[str, list[tuple[str, frozenset[Edge]]]] = {x: [] for x in instance.peers}
     for u, v in overlay:
-        hops[u].append((v, on_route[(u, v)]))
-        hops[v].append((u, on_route[(u, v)]))
+        hops[u].append((v, supports[(u, v)]))
+        hops[v].append((u, supports[(u, v)]))
     sep = dict.fromkeys(supports, 0)
     components = []
     kappa_i = []
-    for i in range(len(tracked)):
-        # Breadth-first labelling over the overlay edges that avoid tracked[i];
-        # each group list is its own queue.
+    for i, e_i in enumerate(tracked):
+        # Breadth-first labelling over the overlay edges whose routes avoid
+        # e_i; each group list is its own queue.
         comp: dict[str, list[str]] = {}
         groups = []
         for x in instance.peers:
@@ -108,20 +103,22 @@ def compute_kappa(instance: Instance, overlay, tree) -> AugmentationState:
             group = [x]
             comp[x] = group
             for y in group:
-                for z, mask in hops[y]:
-                    if z not in comp and not mask >> i & 1:
+                for z, support in hops[y]:
+                    if z not in comp and e_i not in support:
                         comp[z] = group
                         group.append(z)
             groups.append(group)
+        # A pair across two groups joins them unless e_i is on its route.  An
+        # overlay pair across two groups has e_i on its route, so it reads 0.
         bit = 1 << i
         for a, b in combinations(groups, 2):
             for x in a:
                 for y in b:
-                    sep[(x, y) if x < y else (y, x)] |= bit
+                    p = (x, y) if x < y else (y, x)
+                    if e_i not in supports[p]:
+                        sep[p] |= bit
         components.append(comp)
         kappa_i.append(len(groups) - 1)
-    for p, mask in on_route.items():
-        sep[p] &= ~mask
     return AugmentationState(
         overlay=overlay,
         tracked=tracked,

@@ -4,7 +4,11 @@ import json
 import tarfile
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+END_TO_END = {"ops_per_s": 1.0, "op_p50_ms": 1.0, "op_tail_ms": 1.0,
+              "peak_rss_mb": 1.0, "setup_s": 1.0}
 
 
 def _load(name):
@@ -14,7 +18,10 @@ def _load(name):
     return module
 
 
-def test_bench_pairs_exits_1_on_a_bad_run_and_keeps_its_record(tmp_path, monkeypatch):
+def _run_pairs(tmp_path, monkeypatch, incorrect):
+    """bench_pairs over two fake pairs; ``incorrect(side, trace)`` says which
+    runs read correct: false.  Returns the exit code and the stored entry.
+    """
     bench_pairs = _load("bench_pairs")
     empty_tar = io.BytesIO()
     tarfile.open(fileobj=empty_tar, mode="w").close()
@@ -22,20 +29,42 @@ def test_bench_pairs_exits_1_on_a_bad_run_and_keeps_its_record(tmp_path, monkeyp
     def git(*args):
         return empty_tar.getvalue() if args[0] == "archive" else b"0" * 40 + b"\n"
 
-    def run_bench(checkout, workload, seed, seconds):
-        # The working tree's runs read correct: false with no failed op.
+    def run_bench(checkout, workload, seed, seconds, trace=False):
+        share = 0.25 if checkout.name == "base" else 0.5
         return {
-            "correct": checkout.name == "base",
+            "correct": not incorrect(checkout.name, trace),
             "failed": 0,
             "attempted": 3,
-            "metrics": {"ops_per_s": 1.0, "op_p50_ms": 1.0, "op_tail_ms": 1.0,
-                        "peak_rss_mb": 1.0, "setup_s": 1.0},
+            "metrics": {"layer.sparsifier.self_share": share} if trace else END_TO_END,
         }
 
     monkeypatch.setattr(bench_pairs, "git", git)
     monkeypatch.setattr(bench_pairs, "export_working_tree", lambda dest: None)
     monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
     out = tmp_path / "BENCH.json"
-    assert bench_pairs.main(["--workload", "cut-pack", "--pairs", "2", "-o", str(out)]) == 1
-    runs = json.loads(out.read_text())["cut-pack"]["runs"]
-    assert [run["change"]["correct"] for run in runs] == [False, False]
+    code = bench_pairs.main(["--workload", "cut-pack", "--pairs", "2", "-o", str(out)])
+    return code, json.loads(out.read_text())["cut-pack"]
+
+
+def test_bench_pairs_exits_1_on_a_bad_run_and_keeps_its_record(tmp_path, monkeypatch):
+    # The working tree's untraced runs read correct: false with no failed op.
+    code, entry = _run_pairs(
+        tmp_path, monkeypatch, lambda side, trace: side == "change" and not trace
+    )
+    assert code == 1
+    assert [run["change"]["correct"] for run in entry["runs"]] == [False, False]
+
+
+@pytest.mark.parametrize("bad_side", [None, "base", "change"])
+def test_bench_pairs_stores_one_traced_run_per_side(tmp_path, monkeypatch, bad_side):
+    code, entry = _run_pairs(
+        tmp_path, monkeypatch, lambda side, trace: trace and side == bad_side
+    )
+    assert code == (bad_side is not None)
+    layers = entry["layers"]
+    assert layers.keys() == {"base", "change"}
+    assert layers["base"]["metrics"] == {"layer.sparsifier.self_share": 0.25}
+    assert layers["change"]["metrics"] == {"layer.sparsifier.self_share": 0.5}
+    assert [layers[side]["correct"] for side in ("base", "change")] == [
+        bad_side != "base", bad_side != "change"
+    ]

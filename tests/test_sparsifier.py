@@ -157,13 +157,30 @@ def assert_state_matches_reference(inst, state):
     for cand in peer_pairs(inst):
         if cand not in overlay:
             assert delta(state, cand) == delta_reference(inst, overlay, tracked, cand)
+    partitions = reference_partitions(inst, overlay, tracked)
+    # Bit i of every pair's mask, overlay pairs included: set iff tracked[i]
+    # is off the pair's route and its endpoints have different roots.
+    for p in peer_pairs(inst):
+        support = inst.route_support(*p)
+        expected = sum(
+            1 << i
+            for i, (e_i, parent) in enumerate(zip(tracked, partitions))
+            if e_i not in support and _find(parent, p[0]) != _find(parent, p[1])
+        )
+        assert state.sep[p] == expected
+    # components[i] maps each peer to the members of its reference group.
+    assert len(state.components) == len(tracked)
+    for comp, parent in zip(state.components, partitions):
+        for x in inst.peers:
+            root = _find(parent, x)
+            assert sorted(comp[x]) == sorted(y for y in inst.peers if _find(parent, y) == root)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
     n_nodes=st.integers(3, 10),
-    keep=st.floats(0.0, 0.7),
+    keep=st.floats(0.0, 1.0),
     policy=st.sampled_from(ROUTE_POLICIES),
     path_tree=st.booleans(),
 )
