@@ -1,5 +1,5 @@
-"""Count the library's code lines: the lines of ``src/deepconn/*.py`` that
-hold a token, leaving out comments, docstrings and blank lines.
+"""Count the library's code lines: the lines of ``src/deepconn/**/*.py``
+that hold a token, leaving out comments, docstrings and blank lines.
 
 Usage: python scripts/code_lines.py [ROOT]   (ROOT defaults to the checkout
 that holds this script).  Prints the total on the last line, after one
@@ -51,11 +51,12 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
+    package = root / "src" / "deepconn"
     total = 0
-    for path in sorted((root / "src" / "deepconn").glob("*.py")):
+    for path in sorted(package.glob("**/*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
-        print(f"{count:6d}  {path.name}")
+        print(f"{count:6d}  {path.relative_to(package)}")
     print(f"{total:6d}  total")
     return 0
 

@@ -84,14 +84,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def instance_cmd(name, help_text, pair=False, witness=False, budget=False):
+    def instance_cmd(name, help_text, parameter=False, budget=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("-i", "--instance", required=True, help="instance document path")
-        if pair:
+        if parameter:
             grp = p.add_mutually_exclusive_group(required=True)
             grp.add_argument("--pair", nargs=2, metavar=("A", "B"))
             grp.add_argument("--all-pairs", action="store_true")
-        if witness:
             p.add_argument("--witness", action="store_true")
         if budget:
             p.add_argument("--budget", type=_budget, default=None)
@@ -105,8 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         instance_cmd(
             name,
             f"compute the {name} parameter",
-            pair=True,
-            witness=True,
+            parameter=True,
             budget=name != "fdc",
         ).set_defaults(handler=_cmd_parameter, parameter=name)
     for name, help_text, handler in (

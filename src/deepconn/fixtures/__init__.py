@@ -26,26 +26,12 @@ def shared_edge() -> Instance:
 
 def k2() -> Instance:
     """Single overlay edge routed as itself."""
-    return build_instance(
-        nodes=["a", "b"],
-        edges=[("a", "b")],
-        peers=["a", "b"],
-        overlay_edges=[("a", "b")],
-        routes={("a", "b"): ("a", "b")},
-    )
+    return identity_instance(["a", "b"], [("a", "b")])
 
 
 def triangle() -> Instance:
     """K3 with identity overlay and routing."""
-    nodes = ["a", "b", "c"]
-    edges = [("a", "b"), ("a", "c"), ("b", "c")]
-    return build_instance(
-        nodes=nodes,
-        edges=edges,
-        peers=nodes,
-        overlay_edges=edges,
-        routes={edge_key(u, v): (u, v) for u, v in edges},
-    )
+    return identity_instance(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
 
 
 def identity_instance(nodes, edges) -> Instance:

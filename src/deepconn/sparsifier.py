@@ -284,34 +284,29 @@ def special_case_construct(nodes, edges) -> frozenset[Edge]:
         tree.append((u, v))
     if len(tree) != len(comp) - 1:
         raise ValidationError("underlying graph disconnected")
-    # Preorder positions from nodes[0]: a child follows its parent, and
-    # removing tree edge e cuts off the subtree of its later endpoint, the
-    # interval [pos[child], pos[child] + size[child]).
+    # Root the tree at nodes[0].  Each G-edge f, in sorted order, walks its
+    # tree path up to where the two sides meet and becomes the cover of every
+    # edge e != f on it that has none yet: the first edge crossing e's cut.
+    # A tree edge or its repeat covers nothing else; a loop has no path.
     adj = adjacency(nodes, tree)
-    pos, parent = {}, {}
-    stack = [(nodes[0], None)]
+    parent, depth = {}, {}
+    stack = [(nodes[0], None, 0)]
     while stack:
-        u, parent[u] = stack.pop()
-        pos[u] = len(pos)
-        stack.extend((v, u) for v in adj[u] if v not in pos)
-    size = dict.fromkeys(pos, 1)
-    for x in list(pos)[:0:-1]:
-        size[parent[x]] += size[x]
-    overlay = set(tree)
+        u, parent[u], depth[u] = stack.pop()
+        stack.extend((v, u, depth[u] + 1) for v in adj[u] if v not in depth)
+    cover: dict[Edge, Edge] = {}
+    for f in canon:
+        u, v = f
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            e = edge_key(u, parent[u])
+            if e != f:
+                cover.setdefault(e, f)
+            u = parent[u]
     for e in tree:
-        child = max(e, key=pos.get)
-        lo, hi = pos[child], pos[child] + size[child]
-        cover = next(
-            (
-                f
-                for f in canon
-                if f != e and (lo <= pos[f[0]] < hi) != (lo <= pos[f[1]] < hi)
-            ),
-            None,
-        )
-        if cover is None:
+        if e not in cover:
             raise PreconditionError(
                 f"underlying graph has a bridge at ({e[0]},{e[1]})", e
             )
-        overlay.add(cover)
-    return frozenset(overlay)
+    return frozenset(tree).union(cover.values())

@@ -506,6 +506,14 @@ _SET_SYSTEM = ["gen", "set-system", "--h-nodes", "x,y,z", "--h-edges", "x-y,y-z"
         ),
         ([*_SET_SYSTEM, "--f", "x-y", "--m", "1", "--sets", "2"], "set element out of range"),
         (
+            [*_SET_SYSTEM, "--f", "x-y", "--m", "-1", "--sets", "1"],
+            "set system dimensions out of range",
+        ),
+        (
+            [*_SET_SYSTEM, "--f", "x-y", "--m", "1", "--sets", "1;1"],
+            "f must list one overlay edge per set",
+        ),
+        (
             [*_SET_SYSTEM, "--f", "x-y", "--m", "2", "--sets", "1"],
             "element 2 appears in no set; its edge would be disconnected",
         ),
@@ -522,6 +530,8 @@ _SET_SYSTEM = ["gen", "set-system", "--h-nodes", "x,y,z", "--h-edges", "x-y,y-z"
         "f-outside-overlay",
         "gadget-name",
         "element-out-of-range",
+        "negative-m",
+        "f-per-set",
         "unused-element",
         "edge-prob-zero",
     ],

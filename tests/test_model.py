@@ -103,7 +103,9 @@ _PATH_DOC = {
         ({"nodes": ["a", "b", "c", "a"]}, "duplicate node name"),
         ({"edges": [["a", "b"], ["c", "c"]]}, "self-loop at c"),
         ({"edges": [["a", "b"], ["b", "c"], ["b", "a"]]}, "duplicate edge ('a', 'b')"),
+        ({"edges": [["a", "b"], ["b", "d"]]}, "edge (b,d) references unknown node"),
         ({"peers": ["a", "c", "a"]}, "duplicate peer"),
+        ({"peers": ["a", "d"]}, "peer not a node of the underlying graph"),
         ({"overlay_edges": [["a", "a"]]}, "overlay self-loop at a"),
         ({"overlay_edges": [["a", "b"]]}, "overlay edge (a,b) endpoint is not a peer"),
         (
@@ -120,7 +122,9 @@ _PATH_DOC = {
         "duplicate-node",
         "self-loop",
         "duplicate-edge",
+        "unknown-node",
         "duplicate-peer",
+        "peer-not-a-node",
         "overlay-self-loop",
         "overlay-non-peer",
         "duplicate-overlay-edge",

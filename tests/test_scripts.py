@@ -68,3 +68,24 @@ def test_bench_pairs_stores_one_traced_run_per_side(tmp_path, monkeypatch, bad_s
     assert [layers[side]["correct"] for side in ("base", "change")] == [
         bad_side != "base", bad_side != "change"
     ]
+
+
+def test_code_lines_counts_code_in_every_module_of_the_package(tmp_path, capsys):
+    package = tmp_path / "src" / "deepconn"
+    (package / "sub").mkdir(parents=True)
+    (package / "top.py").write_text(
+        '"""Module docstring,\nover two lines."""\n\n'
+        "# a comment\n"
+        "def f(x):\n"
+        '    """One-line docstring."""\n'
+        "    return [x,\n"
+        "            x]  # trailing comment\n"
+    )
+    (package / "sub" / "__init__.py").write_text("\n\nY = 2\n")
+    assert _load("code_lines").main(["code_lines.py", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [
+        ["1", "sub/__init__.py"],
+        ["3", "top.py"],
+        ["4", "total"],
+    ]

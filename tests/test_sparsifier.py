@@ -613,14 +613,21 @@ def _outcome(construct, nodes, edges):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    n=st.integers(1, 12),
-    density=st.floats(0.1, 0.9),
+    n=st.integers(1, 30),
+    density=st.floats(0.05, 0.9),
+    repeats=st.integers(0, 4),
+    loops=st.integers(0, 3),
     seed=st.integers(0, 10**6),
 )
-def test_special_case_matches_reference(n, density, seed):
+def test_special_case_matches_reference(n, density, repeats, loops, seed):
+    # Repeats (in either orientation, after the flip below) and loops pin the
+    # walk's skips: a repeat of a tree edge does not cross that edge's cut,
+    # and a loop crosses none.
     rng = random.Random(seed)
     nodes = [f"v{i}" for i in range(n)]
     edges = [e for e in itertools.combinations(nodes, 2) if rng.random() < density]
+    edges += rng.choices(edges, k=repeats) if edges else []
+    edges += [(x, x) for x in rng.choices(nodes, k=loops)]
     rng.shuffle(edges)
     edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
     assert _outcome(special_case_construct, nodes, edges) == _outcome(
