@@ -20,15 +20,18 @@ is stored under the workload's name in a JSON object in that file, with a
 command line that reruns the same comparison (the base named by its sha);
 other workloads' entries are kept.  Exits 1 when an op failed or a run,
 traced or not, read ``correct: false`` on either side, after storing the
-result, so the record of a bad run is kept.
+result, so the record of a bad run is kept.  SIGTERM stops it as an exit
+does: the running child is killed and the temporary copies are removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import shlex
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -91,6 +94,20 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+@contextlib.contextmanager
+def sigterm_exits():
+    """While in the block, SIGTERM raises ``SystemExit``, so ``subprocess.run``
+    kills its child and ``TemporaryDirectory`` removes its files on the way
+    out; the previous handler is restored after it.
+    """
+    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+@sigterm_exits()
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)

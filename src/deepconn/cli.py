@@ -18,11 +18,9 @@ import time
 from . import gadgets, oracles
 from . import sparsifier as sparsify_mod
 from .errors import (
-    BudgetExceededError,
     DeepConnError,
     FormatError,
     PreconditionError,
-    ValidationError,
 )
 from .fdc import FlowResult
 from .model import (
@@ -32,13 +30,6 @@ from .model import (
     peer_pairs,
     serialize_instance,
 )
-
-_ERROR_CODES = {
-    FormatError: ("FORMAT", 2),
-    ValidationError: ("VALIDATION", 2),
-    PreconditionError: ("PRECONDITION", 1),
-    BudgetExceededError: ("BUDGET", 1),
-}
 
 
 def main(argv=None) -> int:
@@ -50,12 +41,8 @@ def main(argv=None) -> int:
     try:
         report = args.handler(args)
     except DeepConnError as exc:
-        code, status = next(
-            (v for t, v in _ERROR_CODES.items() if isinstance(exc, t)),
-            ("ERROR", 1),
-        )
-        print(f"error {code}: {exc}", file=sys.stderr)
-        return status
+        print(f"error {exc.code}: {exc}", file=sys.stderr)
+        return exc.status
     if args.json:
         print(json.dumps(report, indent=2))
     else:

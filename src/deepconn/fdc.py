@@ -129,10 +129,9 @@ def fdc_pair(instance: Instance, s: str, t: str) -> FlowResult:
     Fractions are built once, from the last round's solution.
     """
     # The first column is the oracle's path under a zero dual: the
-    # lexicographically first fewest-hop path.
+    # lexicographically first fewest-hop path.  With no overlay path no
+    # round runs, and the LP's solution with no columns is the zero flow.
     violated = separation_oracle(instance, s, t, {}, 1)
-    if violated is None:
-        return FlowResult(ZERO, {}, {}, [])
 
     # Fix the row set once so the program only ever grows by columns and the
     # solver can warm-start from the previous optimal basis.

@@ -92,41 +92,28 @@ def encode_set_system(h_nodes, h_edges, f, system: SetSystem) -> GadgetOutput:
         nodes.append(name)
         return name
 
-    element_vertices = {}
-    element_edges = []
-    for i in range(1, system.m + 1):
-        a = fresh(f"v{i}_a")
-        b = fresh(f"v{i}_b")
-        element_vertices[i] = (a, b)
-        element_edges.append(edge_key(a, b))
+    element_vertices = {
+        i: (fresh(f"v{i}_a"), fresh(f"v{i}_b")) for i in range(1, system.m + 1)
+    }
+    element_edges = [edge_key(a, b) for a, b in element_vertices.values()]
 
     identity_edges = [e for e in h_edges if e not in routed]
-    edges = identity_edges + element_edges
-    element_set = set(element_edges)
     route_edges = []
     subdivision_vertices = []
     routes = {e: e for e in identity_edges}
-    for j, (pair, members) in enumerate(zip(f, system.sets), start=1):
-        x, y = pair
-        waypoints = [x]
-        for i in sorted(members):
-            waypoints.extend(element_vertices[i])
-        waypoints.append(y)
-        path = [x]
-        connector = 0
-        for a, b in zip(waypoints, waypoints[1:]):
-            if edge_key(a, b) in element_set:
-                path.append(b)
-                continue
-            connector += 1
-            z = fresh(f"z{j}_{connector}")
+    for j, ((x, y), members) in enumerate(zip(f, system.sets), start=1):
+        # The stops pair up as the connectors (x, a1), (b1, a2), ..., (bk, y),
+        # and each element edge (ai, bi) lies between two of them.
+        stops = [x, *(v for i in sorted(members) for v in element_vertices[i]), y]
+        path = []
+        for c, (a, b) in enumerate(zip(stops[::2], stops[1::2]), start=1):
+            z = fresh(f"z{j}_{c}")
             subdivision_vertices.append(z)
-            for half in (edge_key(a, z), edge_key(z, b)):
-                edges.append(half)
-                route_edges.append(half)
-            path.extend([z, b])
-        routes[pair] = tuple(path)
+            route_edges += [edge_key(a, z), edge_key(z, b)]
+            path.extend([a, z, b])
+        routes[(x, y)] = tuple(path)
 
+    edges = identity_edges + element_edges + route_edges
     instance = build_instance(nodes, edges, h_nodes, h_edges, routes)
     labels = {
         "element_vertices": {i: list(v) for i, v in element_vertices.items()},
@@ -158,24 +145,19 @@ def build_spddc_reduction(
     if k < 1:
         raise ValidationError("k must be positive")
     compact = _compact(system)
-    n = compact.n
     layer_u = [f"u{l}" for l in range(k + 1)]
-    layer_v = {(l, j): f"v{l}_{j}" for l in range(1, k + 1) for j in range(1, n + 1)}
-    h_nodes = list(layer_u) + [layer_v[key] for key in sorted(layer_v)]
-    odd_edges = []
-    copied_sets = []
-    even_edges = []
-    for l in range(1, k + 1):
-        for j in range(1, n + 1):
-            odd_edges.append(edge_key(layer_u[l - 1], layer_v[(l, j)]))
-            copied_sets.append(compact.sets[j - 1])
-            even_edges.append(edge_key(layer_v[(l, j)], layer_u[l]))
-    h_edges = odd_edges + even_edges
-    copied = SetSystem(compact.m, tuple(copied_sets))
-    out = encode_set_system(h_nodes, h_edges, odd_edges, copied)
+    layer_v = {
+        (l, j): f"v{l}_{j}" for l in range(1, k + 1) for j in range(1, compact.n + 1)
+    }
+    odd_edges = [edge_key(layer_u[l - 1], v) for (l, _), v in layer_v.items()]
+    even_edges = [edge_key(v, layer_u[l]) for (l, _), v in layer_v.items()]
+    copied = SetSystem(compact.m, compact.sets * k)
+    out = encode_set_system(
+        layer_u + list(layer_v.values()), odd_edges + even_edges, odd_edges, copied
+    )
     out.labels["layer_vertices"] = {
         "u": list(layer_u),
-        "v": {f"{l},{j}": name for (l, j), name in sorted(layer_v.items())},
+        "v": {f"{l},{j}": name for (l, j), name in layer_v.items()},
     }
     out.labels["source"] = layer_u[0]
     out.labels["sink"] = layer_u[-1]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import deepconn
-from deepconn import fixtures
+from deepconn import fixtures, gadgets
 from deepconn.gadgets import random_instance
 from deepconn.cli import _build_parser, main
+from deepconn.errors import DeepConnError
 from deepconn.fdc import fdc_pair
 from deepconn.model import parse_instance, serialize_instance
 from deepconn.oracles import CutCertificate, PathPacking
@@ -542,6 +544,17 @@ def test_generator_rejects_invalid_input(capsys, argv, message):
     assert err == f"error VALIDATION: {message}\n"
 
 
+def test_bare_domain_error_takes_the_fallback_code(capsys, monkeypatch):
+    # No library code raises a bare DeepConnError; the base class's own code
+    # and status apply to it.
+    def fail(*args):
+        raise DeepConnError("raised by the handler")
+
+    monkeypatch.setattr(gadgets, "build_hamiltonian_reduction", fail)
+    code, out, err = run(capsys, "gen", "hamiltonian", "--nodes", "a,b,c", "--edges", "a-b")
+    assert (code, out, err) == (1, "", "error ERROR: raised by the handler\n")
+
+
 def test_witness_reingest(fig1_path, capsys, tmp_path):
     # A cut emitted by the CLI must validate against the library certificate.
     from deepconn.oracles import CutCertificate
@@ -758,3 +771,95 @@ def test_output_is_byte_identical_across_hash_seeds(tmp_path):
         codes.add(runs[0][0])
         assert runs[0][0] != 0 or "-o" not in argv or runs[0][3] is not None
     assert codes == {0, 1}
+
+
+_GEN_DIGESTS = [
+    (
+        ["set-system", "--h-nodes", "x,y,z", "--h-edges", "x-y,y-z",
+         "--f", "x-y,y-z", "--m", "2", "--sets", "1;1,2"],
+        (
+            "d4650c094a36a438f7c506ddd84fcaa82c3a74e6b8d53577ff3da3cc82a47816",
+            "bbf35e6f04a9a5a9db06c4170bf822896c602c64ed9e11a42edd929c7b73f9ca",
+            "7b6389979cefc564123f7ce9c72cf254d3a3ec5391e6b209eea1c39d5f1a55fc",
+        ),
+    ),
+    (
+        ["set-system", "--h-nodes", "w,x,y,z", "--h-edges", "x-y,y-z,z-w",
+         "--f", "y-x,z-y", "--m", "1", "--sets", ";1"],
+        (
+            "289f5f142409e46fde9f56efeee6a16284e2a8dc2bb6aedbd3f26a0a8b2c00e0",
+            "198c1175a48479545b87b213e436f42b23da2504807e7371cc63e3f2f531e972",
+            "bbf0786547aeef8e502c56846eee04c7506f9220cd9aefbe7ae4f42bceaba203",
+        ),
+    ),
+    (
+        ["spddc-reduction", "--m", "2", "--sets", "1;2", "--k", "2"],
+        (
+            "5fb366d61e7ac7eec2328cf3094e3a6bcd6d03c80ee878f71f2425a5fab7658e",
+            "82978b1f27710d5036603380615c5050248c0fef77a3ef7e4471ae769be8c25e",
+            "4ebec851f143a8e4f41525f21749f0561920f95749d5c458ca6cc1889446ad60",
+        ),
+    ),
+    (
+        ["spddc-reduction", "--m", "4", "--sets", "1,3;3;", "--k", "3"],
+        (
+            "7781652678596e2457f1a54d4efff02bcc7f340fdc353c550dcf1964cbe1946e",
+            "89df0cff13a845e173d8a3ab377b3ee67a7b76e684a3c6368c7cdeeb03bf5264",
+            "7c530635922d56dbfb30e884e9cc1d54680cff1fbae7df128fee01649c0b7190",
+        ),
+    ),
+    (
+        ["hamiltonian", "--nodes", "a,b,c,d", "--edges", "a-b,b-c,c-d"],
+        (
+            "991b75f5cc270023f2f6f6c0aa81f5fa0e3dfb2636a2c39341e186938931a0c9",
+            "957ad32283cd1202c3492ce2a660c10ec27043e232c3bdcc3a76a2eed59293a7",
+            None,
+        ),
+    ),
+    (
+        ["random", "--nodes", "12", "--peers", "6", "--seed", "7",
+         "--policy", "shortest_path"],
+        (
+            "9d7a38770e4264ede8120068cd5bac659a6c6cb0207eecc20db605a321e92a66",
+            "56811e688d09a391f1838c1b5a010e71eb9457da5c230cf7872467a25dfadebc",
+            None,
+        ),
+    ),
+    (
+        ["random", "--nodes", "12", "--peers", "6", "--seed", "7",
+         "--policy", "random_simple"],
+        (
+            "9d7a38770e4264ede8120068cd5bac659a6c6cb0207eecc20db605a321e92a66",
+            "c819219a2d418b36846218c63e3c7d2cae97220b95e58a5759476a7686c9a4f5",
+            None,
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digests",
+    _GEN_DIGESTS,
+    ids=[
+        "set-system-readme",
+        "set-system-reversed-identity-empty",
+        "spddc-reduction",
+        "spddc-reduction-compacted",
+        "hamiltonian",
+        "random-shortest-path",
+        "random-simple",
+    ],
+)
+def test_gen_output_bytes_are_pinned(tmp_path, capsys, argv, digests):
+    # sha256 of stdout (--json), of the -o file and of the --labels file,
+    # recorded before the gadget builders were last rewritten.
+    out_path, labels_path = tmp_path / "out.json", tmp_path / "labels.json"
+    extra = ["--labels", str(labels_path)] if digests[2] is not None else []
+    code, out, err = run(capsys, "gen", *argv, "--json", "-o", str(out_path), *extra)
+    assert code == 0 and err == ""
+    found = (
+        hashlib.sha256(out.encode()).hexdigest(),
+        hashlib.sha256(out_path.read_bytes()).hexdigest(),
+        hashlib.sha256(labels_path.read_bytes()).hexdigest() if extra else None,
+    )
+    assert found == digests

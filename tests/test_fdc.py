@@ -227,9 +227,10 @@ def test_fdc_all_pairs_k2(k2):
 
 def test_fdc_disconnected_overlay():
     inst = disconnected_overlay_instance()
-    value, _, result = all_pairs(inst, "fdc")
+    value, (s, t), result = all_pairs(inst, "fdc")
     assert value == 0
-    assert result.primal == {} and result.generated_paths == []
+    assert result.primal == {} and result.dual == {} and result.generated_paths == []
+    result.validate(inst, s, t)
 
 
 def test_same_endpoint_rejected(fig1):

@@ -1,7 +1,12 @@
 import importlib.util
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import tarfile
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -18,16 +23,25 @@ def _load(name):
     return module
 
 
-def _run_pairs(tmp_path, monkeypatch, incorrect):
-    """bench_pairs over two fake pairs; ``incorrect(side, trace)`` says which
-    runs read correct: false.  Returns the exit code and the stored entry.
-    """
+def _load_bench_pairs(monkeypatch):
+    """Load bench_pairs with git and the working-tree export faked out."""
     bench_pairs = _load("bench_pairs")
     empty_tar = io.BytesIO()
     tarfile.open(fileobj=empty_tar, mode="w").close()
 
     def git(*args):
         return empty_tar.getvalue() if args[0] == "archive" else b"0" * 40 + b"\n"
+
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "export_working_tree", lambda dest: None)
+    return bench_pairs
+
+
+def _run_pairs(tmp_path, monkeypatch, incorrect):
+    """bench_pairs over two fake pairs; ``incorrect(side, trace)`` says which
+    runs read correct: false.  Returns the exit code and the stored entry.
+    """
+    bench_pairs = _load_bench_pairs(monkeypatch)
 
     def run_bench(checkout, workload, seed, seconds, trace=False):
         share = 0.25 if checkout.name == "base" else 0.5
@@ -38,8 +52,6 @@ def _run_pairs(tmp_path, monkeypatch, incorrect):
             "metrics": {"layer.sparsifier.self_share": share} if trace else END_TO_END,
         }
 
-    monkeypatch.setattr(bench_pairs, "git", git)
-    monkeypatch.setattr(bench_pairs, "export_working_tree", lambda dest: None)
     monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
     out = tmp_path / "BENCH.json"
     code = bench_pairs.main(["--workload", "cut-pack", "--pairs", "2", "-o", str(out)])
@@ -68,6 +80,38 @@ def test_bench_pairs_stores_one_traced_run_per_side(tmp_path, monkeypatch, bad_s
     assert [layers[side]["correct"] for side in ("base", "change")] == [
         bad_side != "base", bad_side != "change"
     ]
+
+
+def test_bench_pairs_cleans_up_on_sigterm(tmp_path, monkeypatch):
+    bench_pairs = _load_bench_pairs(monkeypatch)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    pid_file = tmp_path / "child.pid"
+
+    def run_bench(checkout, workload, seed, seconds, trace=False):
+        # The child stands in for dcbench/run.py: it writes its pid, sends
+        # SIGTERM to this process while it is waited on, and sleeps.
+        child = (
+            "import os, signal, sys, time; "
+            "open(sys.argv[1], 'w').write(str(os.getpid())); "
+            f"time.sleep(0.2); os.kill({os.getpid()}, signal.SIGTERM); time.sleep(60)"
+        )
+        subprocess.run([sys.executable, "-c", child, str(pid_file)], check=True)
+
+    def old_handler(signum, frame):
+        raise AssertionError("SIGTERM reached the handler installed before main")
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    previous = signal.signal(signal.SIGTERM, old_handler)
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(["--workload", "cut-pack", "--pairs", "1"])
+        assert signal.getsignal(signal.SIGTERM) is old_handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert exit_info.value.code == 128 + signal.SIGTERM
+    assert list(tmp_path.glob("bench_pairs_*")) == []
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_code_lines_counts_code_in_every_module_of_the_package(tmp_path, capsys):
