@@ -4,7 +4,8 @@ One verb per concept: validate, fdc, erdc, pddc, spddc, sparsify,
 special-case, gen, check.  Default output is human-readable text; --json
 emits a machine-readable report with stable field order.  Exit codes:
 0 success, 1 domain error (infeasible precondition, budget exceeded),
-2 usage or document parse/validation error.
+2 usage or document parse/validation error, 141 stdout closed by its
+reader before the report was written.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -43,11 +45,19 @@ def main(argv=None) -> int:
     except DeepConnError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
         return exc.status
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in _humanize(report):
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(report, indent=2))
+        else:
+            for line in _humanize(report):
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at the null device so
+        # the exit-time flush of what is still buffered cannot fail again,
+        # and exit as a writer killed by SIGPIPE would: 128 + 13.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

@@ -18,6 +18,17 @@ PackingSimplex supports adding columns to an already solved program: the
 old basis stays primal-feasible, so re-optimizing after a column arrives
 takes only a handful of pivots.  This is the workhorse of the column
 generation loop.
+
+Rows are stored on first touch.  A row no column touches stays ``d * e_k``
+with right-hand side ``d`` under every pivot: its entry in every structural
+column and every other slack column is 0, so it never enters the ratio
+test, and its slack's reduced cost stays 0, so that slack never enters.
+The tableau therefore starts with no rows and appends row k, as ``d * e_k``
+with right-hand side ``d``, when a column first gives it a nonzero
+coefficient.  The slack block stays ``n_rows`` wide in global row order and
+the basis labels stay global, so Bland's rule makes the choices of the
+tableau that stores every row, and ``duals`` and ``solution`` still give a
+dual for each of the ``n_rows`` rows, 0 for an untouched one.
 """
 
 from __future__ import annotations
@@ -32,24 +43,36 @@ class PackingSimplex:
     columns follow in insertion order, and the rightmost entry of each row
     is the constraint value.  Entries are integers over the shared
     denominator ``d``; the slack block holds ``d`` times the basis inverse,
-    which is what lets new raw columns be reduced on arrival.
+    which is what lets new raw columns be reduced on arrival.  ``basis[i]``
+    labels the basic variable of stored row i: slack k is k, structural j
+    is ``n_rows + j``.
     """
 
     def __init__(self, n_rows: int):
         self.n_rows = n_rows
         self.n_cols = 0
         self.d = 1
-        self.rows = [[int(k == i) for k in range(n_rows)] + [1] for i in range(n_rows)]
+        # The stored rows, in order of first touch, and their global indices.
+        self.rows: list[list[int]] = []
+        self.touched: set[int] = set()
         # Reduced costs per column plus the negated objective value.
         self.cost = [0] * (n_rows + 1)
-        self.basis = list(range(n_rows))
+        self.basis: list[int] = []
 
     def add_column(self, column: dict[int, int]) -> None:
         """Append a structural column with objective coefficient 1.
 
-        ``column`` maps row index -> nonnegative integer coefficient.
+        ``column`` maps row index -> nonnegative integer coefficient; a row
+        it is the first to touch is stored first.
         """
         support = [(k, c) for k, c in column.items() if c]
+        for k, _ in support:
+            if k not in self.touched:
+                self.touched.add(k)
+                row = [0] * (self.n_rows + self.n_cols + 1)
+                row[k] = row[-1] = self.d
+                self.rows.append(row)
+                self.basis.append(k)
         for row in self.rows:
             row.insert(-1, sum(row[k] * c for k, c in support))
         # Reduced cost d * (1 - y . a), with y_k = -cost[slack_k] / d.

@@ -14,7 +14,6 @@ from deepconn.model import (
     peer_pairs,
     route_image,
 )
-from deepconn.simplex import PackingSimplex
 from deepconn.sparsifier import check_precondition, compute_kappa
 
 
@@ -56,13 +55,87 @@ def separation_reference(instance, s, t, y):
     return best[2] if best is not None and best[0] < 1 else None
 
 
+class DensePackingSimplex:
+    """Tableau for max sum(x) s.t. A x <= 1, x >= 0 that stores every row
+    from the start; the reference for ``deepconn.simplex.PackingSimplex``.
+
+    Row i starts as e_i with right-hand side 1, its slack basic.  Entries
+    are integers over the shared denominator ``d``, updated by the
+    fraction-free pivot; Bland's rule picks the entering and leaving
+    variables, with slack k labelled k and structural j labelled
+    ``n_rows + j``.
+    """
+
+    def __init__(self, n_rows: int):
+        self.n_rows = n_rows
+        self.n_cols = 0
+        self.d = 1
+        self.rows = [[int(k == i) for k in range(n_rows)] + [1] for i in range(n_rows)]
+        self.cost = [0] * (n_rows + 1)
+        self.basis = list(range(n_rows))
+
+    def add_column(self, column):
+        support = [(k, c) for k, c in column.items() if c]
+        for row in self.rows:
+            row.insert(-1, sum(row[k] * c for k, c in support))
+        cost = self.cost
+        cost.insert(-1, self.d + sum(cost[k] * c for k, c in support))
+        self.n_cols += 1
+
+    def solve(self):
+        rows, cost, basis = self.rows, self.cost, self.basis
+        width = self.n_rows + self.n_cols
+        while True:
+            enter = next((j for j in range(width) if cost[j] > 0), None)
+            if enter is None:
+                return
+            leave_row = None
+            for i, row in enumerate(rows):
+                a = row[enter]
+                if a > 0:
+                    if leave_row is None:
+                        leave_row, best_a, best_b = i, a, row[-1]
+                        continue
+                    lhs, rhs = row[-1] * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave_row]):
+                        leave_row, best_a, best_b = i, a, row[-1]
+            if leave_row is None:
+                raise ArithmeticError("packing LP unbounded; column has no support")
+            self._pivot(leave_row, enter)
+            basis[leave_row] = enter
+
+    def duals(self):
+        return [-c for c in self.cost[: self.n_rows]], self.d
+
+    def solution(self):
+        d = self.d
+        x = [Fraction(0)] * self.n_cols
+        for i, var in enumerate(self.basis):
+            if var >= self.n_rows:
+                x[var - self.n_rows] = Fraction(self.rows[i][-1], d)
+        y = [Fraction(-self.cost[i], d) for i in range(self.n_rows)]
+        return Fraction(-self.cost[-1], d), x, y
+
+    def _pivot(self, pr, pc):
+        rows, d = self.rows, self.d
+        pivot_row = rows[pr]
+        p = pivot_row[pc]
+        for i, row in enumerate(rows):
+            if i != pr:
+                rows[i] = [(v * p - row[pc] * w) // d for v, w in zip(row, pivot_row)]
+        cost, f = self.cost, self.cost[pc]
+        cost[:] = [(v * p - f * w) // d for v, w in zip(cost, pivot_row)]
+        self.d = p
+
+
 def fdc_reference(instance, s, t):
-    """Column generation on Fraction duals: each round solves the packing LP,
-    reads every dual from ``solution()`` and prices them with
-    ``separation_reference``, over the LP rows ``fdc_pair`` uses.
+    """Column generation on Fraction duals: each round solves the packing LP
+    on the dense tableau ``DensePackingSimplex``, reads every dual from
+    ``solution()`` and prices them with ``separation_reference``, over the LP
+    rows ``fdc_pair`` uses.
     """
     rows = list(instance.kill_sets)
-    lp = PackingSimplex(len(rows))
+    lp = DensePackingSimplex(len(rows))
     generated, y = [], {}
     while (path := separation_reference(instance, s, t, y)) is not None:
         assert path not in generated

@@ -555,6 +555,27 @@ def test_bare_domain_error_takes_the_fallback_code(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error ERROR: raised by the handler\n")
 
 
+def test_reader_closing_stdout_early_gets_no_traceback(tmp_path):
+    # The report of check on a 48-node ring (1,128 pairs) is far larger than
+    # a pipe holds, so the CLI is still writing when the reader stops after
+    # one line.
+    nodes = [f"c{i}" for i in range(48)]
+    ring = [(u, v) for u, v in zip(nodes, nodes[1:] + nodes[:1])]
+    doc = tmp_path / "ring.json"
+    doc.write_text(serialize_instance(fixtures.identity_instance(nodes, ring)))
+    src = str(Path(deepconn.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deepconn.cli", "check", "-i", str(doc), "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 def test_witness_reingest(fig1_path, capsys, tmp_path):
     # A cut emitted by the CLI must validate against the library certificate.
     from deepconn.oracles import CutCertificate

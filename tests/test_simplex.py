@@ -1,6 +1,7 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from brute_force import DensePackingSimplex
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deepconn.simplex import PackingSimplex
@@ -13,6 +14,40 @@ def packing_batches(draw):
     column = st.lists(st.integers(0, 3), min_size=n_rows, max_size=n_rows).filter(any)
     batches = draw(st.lists(st.lists(column, min_size=1, max_size=4), min_size=1, max_size=4))
     return n_rows, [[dict(enumerate(col)) for col in batch] for batch in batches]
+
+
+@st.composite
+def sparse_batches(draw):
+    """(n_rows, batches of sparse columns).  Batch b touches only the first
+    reach_b rows of a random row order, reach growing batch by batch, so
+    rows first appear in later batches, often below rows already present,
+    and some rows may stay untouched.
+    """
+    n_rows = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n_rows)))
+    reach = sorted(draw(st.lists(st.integers(1, n_rows), min_size=1, max_size=4)))
+    batches = []
+    for r in reach:
+        column = st.dictionaries(
+            st.sampled_from(order[:r]), st.integers(0, 3), min_size=1, max_size=3
+        ).filter(lambda col: any(col.values()))
+        batches.append(draw(st.lists(column, min_size=1, max_size=4)))
+    return n_rows, batches
+
+
+def recording(cls):
+    """cls, recording each pivot as (entering column, leaving label)."""
+
+    class Recording(cls):
+        def __init__(self, n_rows):
+            super().__init__(n_rows)
+            self.pivots = []
+
+        def _pivot(self, pr, pc):
+            self.pivots.append((pc, self.basis[pr]))
+            super()._pivot(pr, pc)
+
+    return Recording
 
 
 def assert_optimal(lp, columns):
@@ -52,6 +87,41 @@ def test_warm_started_solves_are_optimal(case):
         nums, d = lp.duals()
         assert all(num >= 0 for num in nums)
         assert [Fraction(num, d) for num in nums] == lp.solution()[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_batches())
+@example((5, [[{3: 1}, {4: 2, 3: 1}], [{0: 1, 2: 0}, {1: 2, 4: 1}], [{0: 3, 3: 1}]]))
+def test_pivots_and_duals_match_the_dense_tableau(case):
+    n_rows, batches = case
+    lp, dense = recording(PackingSimplex)(n_rows), recording(DensePackingSimplex)(n_rows)
+    touched = set()
+    for batch in batches:
+        for col in batch:
+            lp.add_column(col)
+            dense.add_column(col)
+            touched.update(k for k, c in col.items() if c)
+        lp.solve()
+        dense.solve()
+        assert lp.pivots == dense.pivots
+        assert lp.duals() == dense.duals()
+        assert lp.solution() == dense.solution()
+        assert len(lp.rows) == len(touched)
+
+
+def test_untouched_rows_are_not_stored():
+    lp = PackingSimplex(6)
+    for col in ({1: 1, 4: 2}, {4: 1}, {1: 2, 3: 0}):
+        lp.add_column(col)
+    lp.solve()
+    assert len(lp.rows) == 2
+    untouched = (0, 2, 3, 5)
+    nums, d = lp.duals()
+    assert len(nums) == 6 and [nums[k] for k in untouched] == [0, 0, 0, 0]
+    value, x, y = lp.solution()
+    assert value == Fraction(3, 2) and x == [0, 1, Fraction(1, 2)]
+    assert len(y) == 6 and [y[k] for k in untouched] == [Fraction(0)] * 4
+    assert y[1] + y[4] == value
 
 
 class CountingSimplex(PackingSimplex):
