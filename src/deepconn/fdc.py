@@ -134,8 +134,12 @@ def fdc_pair(instance: Instance, s: str, t: str) -> FlowResult:
     violated = separation_oracle(instance, s, t, {}, 1)
 
     # Fix the row set once so the program only ever grows by columns and the
-    # solver can warm-start from the previous optimal basis.
-    row_edges = list(instance.kill_sets)
+    # solver can warm-start from the previous optimal basis.  One row per
+    # kill-set class, the G-edges ERDC searches: a G-edge with the same kill
+    # set as its class head carries the same overlay edges, so its row would
+    # copy the head's in every column, keep its slack basic at 0 and never
+    # be the pivot row.
+    row_edges = instance.cut_candidates
     row_index = {e: i for i, e in enumerate(row_edges)}
     lp = PackingSimplex(len(row_edges))
 
@@ -144,7 +148,7 @@ def fdc_pair(instance: Instance, s: str, t: str) -> FlowResult:
         assert violated not in generated, "oracle returned an already generated path"
         generated.append(violated)
         image = route_image(instance, violated)
-        lp.add_column({row_index[e]: mult for e, mult in image.items()})
+        lp.add_column({row_index[e]: m for e, m in image.items() if e in row_index})
         lp.solve()
         nums, d = lp.duals()
         y = {e: v for e, v in zip(row_edges, nums) if v}

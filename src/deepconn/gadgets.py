@@ -41,10 +41,6 @@ class SetSystem:
     def n(self) -> int:
         return len(self.sets)
 
-    def membership(self, i: int, j: int) -> bool:
-        """1-based characteristic function: element i in set j."""
-        return i in self.sets[j - 1]
-
     @staticmethod
     def from_lists(m: int, sets) -> "SetSystem":
         return SetSystem(m, tuple(frozenset(s) for s in sets))

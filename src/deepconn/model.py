@@ -101,6 +101,8 @@ class Instance:
     def cut_candidates(self) -> tuple[Edge, ...]:
         """The first G-edge, in edge order, of each distinct kill set, in
         edge order: failing any routed G-edge kills what one of them kills.
+
+        ERDC searches these G-edges, and FDC's LP keeps one row for each.
         """
         first: dict[frozenset[Edge], Edge] = {}
         for e, dies in self.kill_sets.items():

@@ -131,8 +131,8 @@ class DensePackingSimplex:
 def fdc_reference(instance, s, t):
     """Column generation on Fraction duals: each round solves the packing LP
     on the dense tableau ``DensePackingSimplex``, reads every dual from
-    ``solution()`` and prices them with ``separation_reference``, over the LP
-    rows ``fdc_pair`` uses.
+    ``solution()`` and prices them with ``separation_reference``, over one LP
+    row per routed G-edge, where ``fdc_pair`` keeps one per kill-set class.
     """
     rows = list(instance.kill_sets)
     lp = DensePackingSimplex(len(rows))

@@ -384,7 +384,7 @@ def test_criterion_9_lemma_audit():
         for i in range(1, system.m + 1):
             for j in range(1, n + 1):
                 if (element[i - 1] in inst.route_support(*f[j - 1])) != (
-                    system.membership(i, j)
+                    i in system.sets[j - 1]
                 ):
                     failures.append(f"{system.sets}: membership ({i},{j}) wrong")
         # Property (4): every E_rho edge belongs to exactly one route image.

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from brute_force import classic_edge_connectivity, fdc_reference, separation_reference
 from conftest import disconnected_overlay_instance, random_connected_graph, subsample_overlay
-from deepconn import fixtures
+from deepconn import fdc, fixtures
+from deepconn.cli import main
 from deepconn.errors import ValidationError
 from deepconn.fdc import FlowResult, fdc_pair, separation_oracle
-from deepconn.gadgets import ROUTE_POLICIES, random_instance
+from deepconn.gadgets import ROUTE_POLICIES, SetSystem, encode_set_system, random_instance
 from deepconn.model import (
     build_instance,
     edge_key,
@@ -135,6 +136,16 @@ def test_fdc_generates_the_fraction_loop_columns(fig1, shared_edge):
         assert fdc_pair(inst, s, t) == fdc_reference(inst, s, t)
 
 
+def assert_matches_the_fraction_loop(inst):
+    """fdc_pair, on one row per kill-set class, gives the FlowResult of the
+    reference, which keeps a row for every routed G-edge."""
+    candidates = set(inst.cut_candidates)
+    for s, t in peer_pairs(inst):
+        result = fdc_pair(inst, s, t)
+        assert result == fdc_reference(inst, s, t)
+        assert result.dual.keys() <= candidates
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
@@ -146,9 +157,41 @@ def test_fdc_matches_the_fraction_loop(seed, n_nodes, keep, policy):
     rng = random.Random(seed)
     # At most six peers keep the reference's path enumeration small.
     full = random_instance(n_nodes, rng.randint(3, min(6, n_nodes)), 0.5, policy, seed=seed)
-    inst = subsample_overlay(rng, full, keep)
-    for s, t in peer_pairs(inst):
-        assert fdc_pair(inst, s, t) == fdc_reference(inst, s, t)
+    assert_matches_the_fraction_loop(subsample_overlay(rng, full, keep))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n_peers=st.integers(3, 5), m=st.integers(1, 4))
+def test_fdc_matches_the_fraction_loop_on_set_systems(seed, n_peers, m):
+    # Each set routes one overlay edge of a random connected overlay, and the
+    # two subdivided G-edges of each connector on its route share one kill
+    # set, so every encoding repeats kill sets.
+    rng = random.Random(seed)
+    nodes, edges = random_connected_graph(rng, n_peers, 0.6)
+    f = rng.sample(edges, rng.randint(1, len(edges)))
+    sets = [{i for i in range(1, m + 1) if rng.random() < 0.5} for _ in f]
+    for i in range(1, m + 1):
+        rng.choice(sets).add(i)
+    inst = encode_set_system(nodes, edges, f, SetSystem.from_lists(m, sets)).instance
+    assert len(inst.cut_candidates) < len(inst.kill_sets)
+    assert_matches_the_fraction_loop(inst)
+
+
+def test_fdc_lp_has_one_row_per_kill_set_class(fig1, tmp_path, monkeypatch, capsys):
+    sizes = []
+
+    class Recording(fdc.PackingSimplex):
+        def __init__(self, n_rows):
+            sizes.append(n_rows)
+            super().__init__(n_rows)
+
+    monkeypatch.setattr(fdc, "PackingSimplex", Recording)
+    path = tmp_path / "fig1.json"
+    path.write_text(fixtures.fig1_text())
+    assert main(["fdc", "-i", str(path), "--pair", "S", "T"]) == 0
+    assert "value: 3/2" in capsys.readouterr().out
+    # 18 routed G-edges fall into 12 kill-set classes.
+    assert (len(fig1.kill_sets), sizes) == (18, [12])
 
 
 def test_flow_result_certifies_only_its_own_pair(triangle):

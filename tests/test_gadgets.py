@@ -34,7 +34,7 @@ def test_lemma_membership_matrix():
     for i in range(1, system.m + 1):
         for j in range(1, system.n + 1):
             assert (element[i - 1] in inst.route_support(*f[j - 1])) == (
-                system.membership(i, j)
+                i in system.sets[j - 1]
             )
 
 

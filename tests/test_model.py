@@ -488,6 +488,17 @@ def test_indexes_match_their_definitions(seed, n_nodes, keep, policy):
         for e in sorted(inst.edges)
     }
     assert list(inst.kill_sets.items()) == [(e, f) for e, f in kill.items() if f]
+    # The cut candidates are the first edge of each kill set, in edge order,
+    # and every routed G-edge shares its kill set with one candidate at or
+    # before it.
+    heads = {}
+    for e, f in kill.items():
+        if f:
+            heads.setdefault(f, e)
+    assert inst.cut_candidates == tuple(heads.values())
+    for e, f in inst.kill_sets.items():
+        sharing = [c for c in inst.cut_candidates if inst.kill_sets[c] == f]
+        assert len(sharing) == 1 and sharing[0] <= e
     number, hops = inst.numbered_overlay
     assert {number[f] for f in inst.overlay_edges} == set(range(len(inst.overlay_edges)))
     for u, v in inst.overlay_edges:
