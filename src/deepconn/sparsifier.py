@@ -10,22 +10,35 @@ the number of components minus one of the peers joined by the overlay
 edges routed around that G-edge.  The state keeps one int per peer pair,
 its separation mask: bit i is set when the pair's endpoints lie in
 different components for tracked edge i and that edge is not on the
-pair's route.  ``compute_kappa`` tests this against the stored route
-supports, ``Instance.supports``: partition i is a breadth-first labelling
-over the overlay hops whose supports miss tracked[i], and a pair across two
-of its groups gets bit i iff its own support misses tracked[i].  Adding the
-pair merges exactly those components, so delta is the mask's popcount.
-Adding an edge visits only its mask's bits: for each, it merges the
-smaller component's member list into the larger and clears the bit on
+pair's route.  ``compute_kappa`` builds it for any overlay from the stored
+route supports, ``Instance.supports``: partition i is a breadth-first
+labelling over the overlay hops whose supports miss tracked[i], and a pair
+across two of its groups gets bit i iff its own support misses tracked[i].
+Adding the pair merges exactly those components, so delta is the mask's
+popcount.  Adding an edge visits only its mask's bits: for each, it merges
+the smaller component's member list into the larger and clears the bit on
 every pair across the two, so the work over a whole run is bounded by the
 cross pairs of the starting partitions.
 
-Each greedy round rescores every live peer pair, one popcount each, and
-adds the first pair of largest gain in ``peer_pairs`` order.  A pair whose
-gain is zero is dropped for good: delta is antitone (adding overlay edges
-only merges components, so no gain grows), so it never gains again.  Tree
-pairs start at zero and an added pair's mask is cleared, so overlay pairs
-drop out on their own.
+The greedy starts from the tree's own state, which has a closed form.  Let
+own[p] be the tracked bits of pair p's route.  Partition i of the tree is
+the tree minus the tree edges whose own mask has bit i, so kappa_i is the
+number of those edges, and two peers lie apart there iff their tree path
+holds one of them.  So sep[p] is the OR of own over p's tree path, with
+p's own bits cleared; one walk of the tree gives every path's OR, and no
+pair's support is searched.  The labelling is ``compute_kappa``'s.
+
+Each greedy round adds the first pair of largest gain in ``peer_pairs``
+order, found lazily (Minoux's accelerated greedy).  Delta is antitone:
+adding overlay edges only merges components, so no gain grows.  A heap
+keys each pair by its gain when it was last counted, which bounds its gain
+now from above.  The top pair is recounted; when its gain equals its key,
+every other pair gains at most its own key, which is no larger, and a pair
+of equal gain has an equal key and comes later in ``peer_pairs``, so the
+top pair is exactly the full rescan's pick.  A stale top pair goes back
+with its current gain, or out for good at zero gain, since it never gains
+again.  Tree pairs start at zero and an added pair's mask is cleared, so
+overlay pairs never enter or re-enter the heap.
 
 The kappa state is also the one feasibility test.  The precondition,
 ERDC(K_P) >= 2, fails at a G-edge when removing the pairs routed through
@@ -40,7 +53,8 @@ gains, and check_precondition builds the state of K_P itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, compress
+from heapq import heapify, heappop, heapreplace
+from itertools import combinations
 
 from .errors import PreconditionError, ValidationError
 from .model import Edge, Instance, adjacency, connected, edge_key, peer_pairs
@@ -73,28 +87,90 @@ def compute_kappa(instance: Instance, overlay, tree) -> AugmentationState:
     routes of a spanning tree of peer pairs.  The overlay is any set of peer
     pairs; it need not contain the tree.
     """
-    if not instance.total:
-        raise ValidationError("sparsifier requires a total routing scheme")
+    tree, tracked = _tracked_edges(instance, tree)
     overlay = {edge_key(*e) for e in overlay}
-    tree = {edge_key(*e) for e in tree}
-    _check_spanning_tree(instance, tree)
     supports = instance.supports  # keyed by exactly the peer pairs
     # A spanning tree holds only peer pairs, so only the overlay can stray.
     stray = overlay.difference(supports)
     if stray:
         raise ValidationError(f"edge {min(stray)} is not a pair of distinct peers")
-    tracked = tuple(sorted(set().union(*(supports[e] for e in tree))))
-    # Each peer's overlay neighbours, with the route support of the edge.
+    sep = dict.fromkeys(supports, 0)
+    components = []
+    kappa_i = []
+    for i, (comp, groups) in enumerate(_partitions(instance, overlay, tracked)):
+        # A pair across two groups joins them unless e_i is on its route.  An
+        # overlay pair across two groups has e_i on its route, so it reads 0.
+        e_i = tracked[i]
+        bit = 1 << i
+        for a, b in combinations(groups, 2):
+            for x in a:
+                for y in b:
+                    p = (x, y) if x < y else (y, x)
+                    if e_i not in supports[p]:
+                        sep[p] |= bit
+        components.append(comp)
+        kappa_i.append(len(groups) - 1)
+    return AugmentationState(overlay, tracked, sep, components, kappa_i)
+
+
+def _tree_state(instance: Instance, tree) -> AugmentationState:
+    """``compute_kappa(instance, tree, tree)`` in closed form: sep[p] is
+    the OR of the tracked bits of the routes on p's tree path, less the
+    tracked bits of p's own route (see the module docstring).
+    """
+    tree, tracked = _tracked_edges(instance, tree)
+    supports = instance.supports
+    bit = dict.fromkeys(instance.edges, 0)
+    for i, e in enumerate(tracked):
+        bit[e] = 1 << i
+    own = {p: sum(map(bit.__getitem__, support)) for p, support in supports.items()}
+    adj = adjacency(instance.peers, tree)
+    # path[x][y] is the OR of own over the x-y tree path.  The walk meets
+    # each peer z from its tree neighbour x before any peer beyond z, so
+    # z's path to every peer met so far runs through x.
+    root = instance.peers[0]
+    path: dict[str, dict[str, int]] = {root: {}}
+    queue = [root]
+    for x in queue:
+        row = path[x]
+        for z in adj[x]:
+            if z not in path:
+                m = own[edge_key(x, z)]
+                zrow = path[z] = {y: mask | m for y, mask in row.items()}
+                for y, mask in zrow.items():
+                    path[y][z] = mask
+                zrow[x] = row[z] = m
+                queue.append(z)
+    sep = {p: path[p[0]][p[1]] & ~m for p, m in own.items()}
+    labels = list(_partitions(instance, tree, tracked))
+    components = [comp for comp, _ in labels]
+    kappa_i = [len(groups) - 1 for _, groups in labels]
+    return AugmentationState(tree, tracked, sep, components, kappa_i)
+
+
+def _tracked_edges(instance: Instance, tree) -> tuple[set[Edge], tuple[Edge, ...]]:
+    """The canonical base tree and the sorted G-edges on its routes, after
+    the checks that routing is total and the tree spans the peers.
+    """
+    if not instance.total:
+        raise ValidationError("sparsifier requires a total routing scheme")
+    tree = {edge_key(*e) for e in tree}
+    _check_spanning_tree(instance, tree)
+    supports = instance.supports
+    return tree, tuple(sorted(set().union(*(supports[e] for e in tree))))
+
+
+def _partitions(instance: Instance, overlay, tracked):
+    """Per tracked edge e_i, the breadth-first labelling of the peers over
+    the overlay edges whose routes avoid e_i: each peer's group list, and
+    the groups.  Each group list is its own queue.
+    """
+    supports = instance.supports
     hops: dict[str, list[tuple[str, frozenset[Edge]]]] = {x: [] for x in instance.peers}
     for u, v in overlay:
         hops[u].append((v, supports[(u, v)]))
         hops[v].append((u, supports[(u, v)]))
-    sep = dict.fromkeys(supports, 0)
-    components = []
-    kappa_i = []
-    for i, e_i in enumerate(tracked):
-        # Breadth-first labelling over the overlay edges whose routes avoid
-        # e_i; each group list is its own queue.
+    for e_i in tracked:
         comp: dict[str, list[str]] = {}
         groups = []
         for x in instance.peers:
@@ -108,24 +184,7 @@ def compute_kappa(instance: Instance, overlay, tree) -> AugmentationState:
                         comp[z] = group
                         group.append(z)
             groups.append(group)
-        # A pair across two groups joins them unless e_i is on its route.  An
-        # overlay pair across two groups has e_i on its route, so it reads 0.
-        bit = 1 << i
-        for a, b in combinations(groups, 2):
-            for x in a:
-                for y in b:
-                    p = (x, y) if x < y else (y, x)
-                    if e_i not in supports[p]:
-                        sep[p] |= bit
-        components.append(comp)
-        kappa_i.append(len(groups) - 1)
-    return AugmentationState(
-        overlay=overlay,
-        tracked=tracked,
-        sep=sep,
-        components=components,
-        kappa_i=kappa_i,
-    )
+        yield comp, groups
 
 
 def _check_spanning_tree(instance: Instance, tree) -> None:
@@ -205,27 +264,42 @@ def greedy_augment(
 ) -> frozenset[Edge]:
     """Add maximum-gain peer pairs to the tree until kappa reaches zero.
 
-    Each round rescores the live pairs and drops those at zero gain, which
-    stay at zero because gains only fall.  Ties go to the first pair in
-    ``peer_pairs`` order.  If no pair gains while kappa is positive, the
-    precondition fails: PreconditionError names the first violating edge,
-    as ``check_precondition`` would, and ``trace`` keeps the rounds that ran.
+    The start state is the tree's, in closed form.  Each round adds the
+    first pair of largest gain in ``peer_pairs`` order, from a max-heap
+    keyed by each pair's gain when last counted: gains only fall, so a top
+    pair whose recount equals its key is that pair, and a stale one goes
+    back with its current gain, or out at zero.  If the heap empties while
+    kappa is positive, no pair gains and the precondition fails:
+    PreconditionError names the first violating edge, as
+    ``check_precondition`` would, and ``trace`` keeps the rounds that ran.
     """
-    state = compute_kappa(instance, tree, tree)
-    pairs = list(peer_pairs(instance))
+    state = _tree_state(instance, tree)
+    sep = state.sep
+    heap = [
+        (-gain, j, p)
+        for j, p in enumerate(peer_pairs(instance))
+        if (gain := sep[p].bit_count())
+    ]
+    heapify(heap)
     while state.kappa > 0:
         if trace is not None:
             trace.append(state.kappa)
-        gains = list(map(int.bit_count, map(state.sep.__getitem__, pairs)))
-        best = max(gains, default=0)
-        if best == 0:
+        while heap:
+            key, j, cand = heap[0]
+            gain = sep[cand].bit_count()
+            if gain == -key:
+                break
+            if gain:
+                heapreplace(heap, (-gain, j, cand))
+            else:
+                heappop(heap)
+        else:  # the heap ran dry: no pair gains
             witness = _first_violation(state)
             raise PreconditionError(
                 f"precondition ERDC(K_P) >= 2 violated at edge ({witness[0]},{witness[1]})",
                 witness,
             )
-        cand = pairs[gains.index(best)]
-        pairs = list(compress(pairs, gains))
+        heappop(heap)
         add_edge(state, cand)
     if trace is not None:
         trace.append(0)

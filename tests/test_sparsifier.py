@@ -21,6 +21,7 @@ from deepconn.gadgets import ROUTE_POLICIES, random_instance
 from deepconn.model import build_instance, edge_key, peer_pairs
 from deepconn.oracles import all_pairs
 from deepconn.sparsifier import (
+    _tree_state,
     add_edge,
     check_precondition,
     compute_kappa,
@@ -116,6 +117,24 @@ def _path_tree(instance):
     return frozenset(edge_key(u, v) for u, v in zip(peers, peers[1:]))
 
 
+def _random_tree(instance, rng):
+    """A random spanning tree: the peers in random order, each attached to
+    a random earlier one.
+    """
+    peers = list(instance.peers)
+    rng.shuffle(peers)
+    return frozenset(edge_key(peers[k], rng.choice(peers[:k])) for k in range(1, len(peers)))
+
+
+def _draw_tree(instance, kind, rng):
+    if kind == "star":
+        return star_tree(instance)
+    return _path_tree(instance) if kind == "path" else _random_tree(instance, rng)
+
+
+TREE_KINDS = ("star", "path", "random")
+
+
 def _find(parent, x):
     while parent[x] != x:
         x = parent[x]
@@ -182,12 +201,12 @@ def assert_state_matches_reference(inst, state):
     n_nodes=st.integers(3, 10),
     keep=st.floats(0.0, 1.0),
     policy=st.sampled_from(ROUTE_POLICIES),
-    path_tree=st.booleans(),
+    tree_kind=st.sampled_from(TREE_KINDS),
 )
-def test_state_matches_union_find_reference(seed, n_nodes, keep, policy, path_tree):
+def test_state_matches_union_find_reference(seed, n_nodes, keep, policy, tree_kind):
     rng = random.Random(seed)
     inst = random_instance(n_nodes, rng.randint(3, n_nodes), 0.5, policy, seed=seed)
-    tree = _path_tree(inst) if path_tree else star_tree(inst)
+    tree = _draw_tree(inst, tree_kind, rng)
     pairs = list(peer_pairs(inst))
     # An arbitrary start overlay, then nested ones: one edge added at a time.
     state = compute_kappa(inst, [p for p in pairs if rng.random() < keep], tree)
@@ -202,13 +221,65 @@ def test_state_matches_union_find_reference(seed, n_nodes, keep, policy, path_tr
     assert state.kappa_i == compute_kappa(inst, state.overlay, tree).kappa_i
 
 
+def _partition(comp):
+    """The groups of a peer -> group-list map, as a set of frozensets; every
+    member of a group maps to the one shared list.
+    """
+    assert all(x in comp[x] and all(comp[y] is comp[x] for y in comp[x]) for x in comp)
+    return {frozenset(group) for group in comp.values()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_nodes=st.integers(2, 12),
+    policy=st.sampled_from(ROUTE_POLICIES),
+    tree_kind=st.sampled_from(TREE_KINDS),
+)
+def test_tree_state_matches_compute_kappa(seed, n_nodes, policy, tree_kind):
+    rng = random.Random(seed)
+    inst = random_instance(n_nodes, rng.randint(2, n_nodes), 0.5, policy, seed=seed)
+    tree = _draw_tree(inst, tree_kind, rng)
+    state = _tree_state(inst, tree)
+    reference = compute_kappa(inst, tree, tree)
+    assert state.overlay == reference.overlay == set(tree)
+    assert state.tracked == reference.tracked
+    assert state.sep == reference.sep
+    assert state.kappa_i == reference.kappa_i
+    assert list(map(_partition, state.components)) == list(
+        map(_partition, reference.components)
+    )
+
+
+def test_greedy_recounts_a_stale_top_pair():
+    # On the 5-cycle with this tree, the first round adds (c3,c4), gain 4.
+    # That drops (c0,c3), the next heap key at 3, to a gain of 1, below
+    # (c2,c3) and (c2,c4) at 2: the top entry is stale, yet still positive,
+    # and (c0,c3) is added in the third round.
+    inst = cycle_instance(5)
+    tree = [("c0", "c1"), ("c0", "c2"), ("c1", "c3"), ("c1", "c4")]
+    state = compute_kappa(inst, tree, tree)
+    gains = {p: delta(state, p) for p in peer_pairs(inst) if p not in state.overlay}
+    assert sorted(gains.values()) == [1, 1, 2, 3, 3, 4]
+    assert (gains[("c0", "c3")], gains[("c3", "c4")]) == (3, 4)
+    add_edge(state, ("c3", "c4"))
+    assert delta(state, ("c0", "c3")) == 1
+    assert delta(state, ("c2", "c3")) == delta(state, ("c2", "c4")) == 2
+    trace = []
+    overlay = greedy_augment(inst, tree, trace=trace)
+    assert (overlay, trace) == full_rescan_greedy(inst, tree)
+    assert overlay == set(tree) | {("c3", "c4"), ("c2", "c3"), ("c0", "c3")}
+    assert trace == [7, 3, 1, 0]
+
+
 def test_greedy_matches_full_rescan():
     instances = [three_cycle(), *tie_heavy_instances()]
     instances += feasible_random_instances(25, max_peers=9, seed0=300)
     instances = [inst for inst in instances if check_precondition(inst)[0]]
     assert len(instances) >= 30
+    rng = random.Random(7)
     for inst in instances:
-        for tree in (star_tree(inst), _path_tree(inst)):
+        for tree in (star_tree(inst), _path_tree(inst), _random_tree(inst, rng)):
             trace = []
             overlay = greedy_augment(inst, tree, trace=trace)
             assert (overlay, trace) == full_rescan_greedy(inst, tree)
@@ -233,12 +304,13 @@ def test_precondition_matches_all_edge_reference():
 
 def test_greedy_raises_at_the_first_violating_edge():
     infeasible = 0
+    rng = random.Random(8)
     for inst in precondition_corpus():
         ok, witness = precondition_reference(inst)
         if ok:
             continue
         infeasible += 1
-        for tree in (star_tree(inst), _path_tree(inst)):
+        for tree in (star_tree(inst), _path_tree(inst), _random_tree(inst, rng)):
             trace = []
             with pytest.raises(PreconditionError) as info:
                 greedy_augment(inst, tree, trace=trace)
