@@ -239,7 +239,9 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
 
     ``routes`` is a mapping from unordered pair to node sequence; orientation
     is normalized here.  Raises ValidationError naming the first violated
-    invariant.
+    invariant.  Each edge and overlay edge first takes one fast test (a new
+    key of two distinct known names); only an item that fails it runs the
+    checks that name its fault, in their reporting order.
     """
     nodes = tuple(nodes)
     for name in nodes:
@@ -250,20 +252,21 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
         raise ValidationError("duplicate node name")
 
     canon_edges = set()
+    adj: dict[str, list[str]] = {u: [] for u in nodes}
     for u, v in edges:
-        if u == v:
-            raise ValidationError(f"self-loop at {u}")
-        if not (isinstance(u, str) and isinstance(v, str)):
-            raise ValidationError(f"invalid node name in edge {[u, v]!r}")
-        if u not in node_set or v not in node_set:
-            raise ValidationError(f"edge ({u},{v}) references unknown node")
-        key = edge_key(u, v)
-        if key in canon_edges:
-            raise ValidationError(f"duplicate edge {key}")
+        try:  # an unhashable or unorderable name fails the test
+            key = (u, v) if u <= v else (v, u)
+            ok = u != v and u in node_set and v in node_set and key not in canon_edges
+        except TypeError:
+            ok = False
+        if not ok:
+            _reject_edge(u, v, node_set)
         canon_edges.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
     canon_edges = frozenset(canon_edges)
 
-    if not connected(nodes, adjacency(nodes, canon_edges)):
+    if not connected(nodes, adj):
         raise ValidationError("underlying graph disconnected")
 
     peers = tuple(peers)
@@ -282,40 +285,36 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
     supports: dict[Edge, frozenset[Edge]] = {}
     for pair, path in routes.items():
         u, v = pair
-        key = edge_key(u, v)
-        path = tuple(path)
+        key = (u, v) if u <= v else (v, u)
         if len(path) < 2:
             raise ValidationError(f"route for {key} shorter than one edge")
-        path_set = _name_set(path)
-        if {path[0], path[-1]} != {u, v}:
+        simple = len(_name_set(path)) == len(path)
+        ends = path[0], path[-1]
+        if ends != (u, v) and ends != (v, u):
             raise ValidationError(f"route for {key} does not connect its endpoints")
         if u not in peer_set or v not in peer_set:
             raise ValidationError(f"route endpoints {key} are not peers")
-        if len(path_set) != len(path):
+        if not simple:
             raise ValidationError("route not vertex-simple")
         try:
-            support = frozenset([keys[hop] for hop in zip(path, path[1:])])
+            support = frozenset(map(keys.__getitem__, zip(path, path[1:])))
         except KeyError as exc:
             a, b = exc.args[0]
             raise ValidationError(f"route for {key} uses non-edge ({a},{b})") from None
         if key in canon_routes:
             raise ValidationError(f"duplicate route for pair {key}")
-        canon_routes[key] = path if path[0] == key[0] else tuple(reversed(path))
+        canon_routes[key] = tuple(path if ends[0] == key[0] else reversed(path))
         supports[key] = support
 
     canon_overlay = set()
     for u, v in overlay_edges:
-        if u == v:
-            raise ValidationError(f"overlay self-loop at {u}")
-        if not (isinstance(u, str) and isinstance(v, str)):
-            raise ValidationError(f"invalid node name in overlay edge {[u, v]!r}")
-        if u not in peer_set or v not in peer_set:
-            raise ValidationError(f"overlay edge ({u},{v}) endpoint is not a peer")
-        key = edge_key(u, v)
-        if key in canon_overlay:
-            raise ValidationError(f"duplicate overlay edge {key}")
-        if key not in canon_routes:
-            raise ValidationError(f"overlay edge {key} has no route")
+        try:
+            key = (u, v) if u <= v else (v, u)
+            ok = u != v and key in canon_routes and key not in canon_overlay
+        except TypeError:
+            ok = False
+        if not ok:
+            _reject_overlay_edge(u, v, peer_set, canon_overlay)
         canon_overlay.add(key)
 
     return Instance(
@@ -326,6 +325,31 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
         routes=MappingProxyType(canon_routes),
         supports=MappingProxyType(supports),
     )
+
+
+def _reject_edge(u, v, node_set) -> None:
+    """Raise the first fault of an edge that is not a new edge of known nodes."""
+    if u == v:
+        raise ValidationError(f"self-loop at {u}")
+    if not (isinstance(u, str) and isinstance(v, str)):
+        raise ValidationError(f"invalid node name in edge {[u, v]!r}")
+    if u not in node_set or v not in node_set:
+        raise ValidationError(f"edge ({u},{v}) references unknown node")
+    raise ValidationError(f"duplicate edge {edge_key(u, v)}")
+
+
+def _reject_overlay_edge(u, v, peer_set, seen) -> None:
+    """Raise the first fault of an overlay edge that is not a new routed pair."""
+    if u == v:
+        raise ValidationError(f"overlay self-loop at {u}")
+    if not (isinstance(u, str) and isinstance(v, str)):
+        raise ValidationError(f"invalid node name in overlay edge {[u, v]!r}")
+    if u not in peer_set or v not in peer_set:
+        raise ValidationError(f"overlay edge ({u},{v}) endpoint is not a peer")
+    key = edge_key(u, v)
+    if key in seen:
+        raise ValidationError(f"duplicate overlay edge {key}")
+    raise ValidationError(f"overlay edge {key} has no route")
 
 
 # -- document format -------------------------------------------------------
@@ -360,10 +384,11 @@ def parse_instance(text: str) -> Instance:
                 raise FormatError(f"route pair {pair!r} is not a 2-array")
             if not isinstance(path, list):
                 raise FormatError(f"route path {path!r} is not an array")
-            key = edge_key(*pair)
+            u, v = pair
+            key = (u, v) if u <= v else (v, u)  # edge_key, inlined
             if key in routes:
                 raise ValidationError(f"duplicate route for pair {key}")
-            routes[key] = tuple(path)
+            routes[key] = path
     except (TypeError, KeyError) as exc:
         raise FormatError(f"malformed document: {exc}") from exc
     edges = _two_arrays(doc["edges"], "edges")
@@ -371,9 +396,9 @@ def parse_instance(text: str) -> Instance:
     return build_instance(doc["nodes"], edges, doc["peers"], overlay, routes)
 
 
-def _two_arrays(items: list, key: str) -> list[tuple]:
-    """The 2-arrays of a JSON array as tuples; FormatError on any other item."""
-    pairs = [tuple(e) for e in items if isinstance(e, list) and len(e) == 2]
+def _two_arrays(items: list, key: str) -> list[list]:
+    """The 2-arrays of a JSON array; FormatError on any other item."""
+    pairs = [e for e in items if isinstance(e, list) and len(e) == 2]
     if len(pairs) != len(items):
         raise FormatError(f"{key!r} must hold 2-arrays")
     return pairs
@@ -391,11 +416,11 @@ def serialize_instance(instance: Instance) -> str:
     names = _json_array("  ", '"')
     items = _json_array("  ")
     edge = _json_array("    ", '"')
-    hops = _json_array("      ", '"')
+    sep = '",\n        "'  # between the names of a route's pair or path
     routes = [
-        '{\n      "pair": ' + hops(pair)
-        + ',\n      "path": ' + hops(instance.routes[pair]) + "\n    }"
-        for pair in sorted(instance.routes)
+        '{\n      "pair": [\n        "' + u + sep + v + '"\n      ],\n      "path": [\n        "'
+        + sep.join(path) + '"\n      ]\n    }'
+        for (u, v), path in sorted(instance.routes.items())
     ]
     return (
         '{\n  "nodes": ' + names(instance.nodes)
@@ -435,14 +460,21 @@ def route_image(instance: Instance, path: Path) -> Counter:
 
 
 def is_simple_concatenation(instance: Instance, path: Path) -> bool:
-    """True iff the concatenated walk in G visits no vertex twice.
+    """True iff path is an overlay path (else ValidationError) whose
+    concatenated walk in G visits no vertex twice.
+    """
+    _check_overlay_path(instance, path)
+    return _simply_implemented(instance, path)
+
+
+def _simply_implemented(instance: Instance, path: Path) -> bool:
+    """``is_simple_concatenation`` of a path known to be an overlay path.
 
     The walk has 1 + sum(len(r) - 1) vertices over the hops' routes r, and
     it visits exactly the vertices of those routes, so it is simple iff the
     routes cover that many distinct vertices.  Neither count depends on a
     route's orientation, so the stored routes are read as they are.
     """
-    _check_overlay_path(instance, path)
     routes = [instance.routes[edge_key(u, v)] for u, v in zip(path, path[1:])]
     return len(set().union(*routes)) == 1 + sum(len(r) - 1 for r in routes)
 

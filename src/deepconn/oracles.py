@@ -16,9 +16,9 @@ from .model import (
     Edge,
     Instance,
     Path,
+    _simply_implemented,
     check_pair,
     enumerate_simple_paths,
-    is_simple_concatenation,
     peer_pairs,
     shortest_path,
 )
@@ -55,7 +55,7 @@ class PathPacking:
         for p, image in zip(self.paths, _image_masks(instance, self.paths)):
             if used & image:
                 raise ValidationError("packing images intersect")
-            if simple_only and not is_simple_concatenation(instance, p):
+            if simple_only and not _simply_implemented(instance, p):
                 raise ValidationError("packing path is not simply implemented")
             used |= image
 
@@ -281,7 +281,7 @@ def all_pairs(instance: Instance, which: str, **kwargs):
     def bound(pair) -> int:
         seed = seed_packing(instance, *pair)
         if simple:
-            return sum(is_simple_concatenation(instance, p) for p in seed)
+            return sum(_simply_implemented(instance, p) for p in seed)
         return len(seed)
 
     best = None

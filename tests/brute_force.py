@@ -1,14 +1,26 @@
 """Exhaustive reference oracles that only the tests use."""
 
+import json
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 
-from deepconn.errors import BudgetExceededError, PreconditionError, ValidationError
+from deepconn.errors import (
+    BudgetExceededError,
+    FormatError,
+    PreconditionError,
+    ValidationError,
+)
 from deepconn.fdc import FlowResult
 from deepconn.gadgets import SetSystem
 from deepconn.model import (
+    NAME_RE,
+    Edge,
+    Instance,
+    Path,
     adjacency,
+    connected,
     edge_key,
     enumerate_simple_paths,
     peer_pairs,
@@ -241,3 +253,159 @@ def classic_edge_connectivity(nodes, edges, s: str, t: str) -> int:
             cap[(v, u)] += 1
             v = u
         flow += 1
+
+
+# -- the instance document parser before its one-pass validation -----------
+# Kept verbatim, but for its names, as the reference for the class, message
+# and precedence of every document error.
+
+
+def _name_set_reference(names: tuple) -> set:
+    """The set of names; an unhashable one (a JSON array or object) is invalid."""
+    try:
+        return set(names)
+    except TypeError:
+        bad = next(x for x in names if not isinstance(x, str))
+        raise ValidationError(f"invalid node name {bad!r}") from None
+
+
+def build_reference(nodes, edges, peers, overlay_edges, routes) -> Instance:
+    """Validate raw components and assemble an Instance.
+
+    ``routes`` is a mapping from unordered pair to node sequence; orientation
+    is normalized here.  Raises ValidationError naming the first violated
+    invariant.
+    """
+    nodes = tuple(nodes)
+    for name in nodes:
+        if not isinstance(name, str) or not NAME_RE.fullmatch(name):
+            raise ValidationError(f"invalid node name {name!r}")
+    node_set = set(nodes)
+    if len(node_set) != len(nodes):
+        raise ValidationError("duplicate node name")
+
+    canon_edges = set()
+    for u, v in edges:
+        if u == v:
+            raise ValidationError(f"self-loop at {u}")
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise ValidationError(f"invalid node name in edge {[u, v]!r}")
+        if u not in node_set or v not in node_set:
+            raise ValidationError(f"edge ({u},{v}) references unknown node")
+        key = edge_key(u, v)
+        if key in canon_edges:
+            raise ValidationError(f"duplicate edge {key}")
+        canon_edges.add(key)
+    canon_edges = frozenset(canon_edges)
+
+    if not connected(nodes, adjacency(nodes, canon_edges)):
+        raise ValidationError("underlying graph disconnected")
+
+    peers = tuple(peers)
+    peer_set = _name_set_reference(peers)
+    if len(peer_set) != len(peers):
+        raise ValidationError("duplicate peer")
+    if not peer_set <= node_set:
+        raise ValidationError("peer not a node of the underlying graph")
+    if len(peers) < 2:
+        raise ValidationError("fewer than two peers")
+
+    # Both orientations of every G-edge -> its canonical key.
+    keys = {(v, u): (u, v) for u, v in canon_edges}
+    keys.update((e, e) for e in canon_edges)
+    canon_routes: dict[Edge, Path] = {}
+    supports: dict[Edge, frozenset[Edge]] = {}
+    for pair, path in routes.items():
+        u, v = pair
+        key = edge_key(u, v)
+        path = tuple(path)
+        if len(path) < 2:
+            raise ValidationError(f"route for {key} shorter than one edge")
+        path_set = _name_set_reference(path)
+        if {path[0], path[-1]} != {u, v}:
+            raise ValidationError(f"route for {key} does not connect its endpoints")
+        if u not in peer_set or v not in peer_set:
+            raise ValidationError(f"route endpoints {key} are not peers")
+        if len(path_set) != len(path):
+            raise ValidationError("route not vertex-simple")
+        try:
+            support = frozenset([keys[hop] for hop in zip(path, path[1:])])
+        except KeyError as exc:
+            a, b = exc.args[0]
+            raise ValidationError(f"route for {key} uses non-edge ({a},{b})") from None
+        if key in canon_routes:
+            raise ValidationError(f"duplicate route for pair {key}")
+        canon_routes[key] = path if path[0] == key[0] else tuple(reversed(path))
+        supports[key] = support
+
+    canon_overlay = set()
+    for u, v in overlay_edges:
+        if u == v:
+            raise ValidationError(f"overlay self-loop at {u}")
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise ValidationError(f"invalid node name in overlay edge {[u, v]!r}")
+        if u not in peer_set or v not in peer_set:
+            raise ValidationError(f"overlay edge ({u},{v}) endpoint is not a peer")
+        key = edge_key(u, v)
+        if key in canon_overlay:
+            raise ValidationError(f"duplicate overlay edge {key}")
+        if key not in canon_routes:
+            raise ValidationError(f"overlay edge {key} has no route")
+        canon_overlay.add(key)
+
+    return Instance(
+        nodes=nodes,
+        edges=canon_edges,
+        peers=peers,
+        overlay_edges=frozenset(canon_overlay),
+        routes=MappingProxyType(canon_routes),
+        supports=MappingProxyType(supports),
+    )
+
+
+def parse_reference(text: str) -> Instance:
+    """Parse a JSON instance document and validate it."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(
+            f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except RecursionError:
+        # json's decoder recurses once per nesting level.
+        raise FormatError("document nested too deeply") from None
+    except ValueError as exc:
+        # An integer longer than sys.get_int_max_str_digits() allows.
+        raise FormatError(f"malformed document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError("document root must be an object")
+    for key in ("nodes", "edges", "peers", "overlay_edges", "routes"):
+        if key not in doc:
+            raise FormatError(f"missing key {key!r}")
+        if not isinstance(doc[key], list):
+            raise FormatError(f"{key!r} must be an array")
+    try:
+        routes = {}
+        for entry in doc["routes"]:
+            pair, path = entry["pair"], entry["path"]
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise FormatError(f"route pair {pair!r} is not a 2-array")
+            if not isinstance(path, list):
+                raise FormatError(f"route path {path!r} is not an array")
+            key = edge_key(*pair)
+            if key in routes:
+                raise ValidationError(f"duplicate route for pair {key}")
+            routes[key] = tuple(path)
+    except (TypeError, KeyError) as exc:
+        raise FormatError(f"malformed document: {exc}") from exc
+    edges = _two_arrays_reference(doc["edges"], "edges")
+    overlay = _two_arrays_reference(doc["overlay_edges"], "overlay_edges")
+    return build_reference(doc["nodes"], edges, doc["peers"], overlay, routes)
+
+
+def _two_arrays_reference(items: list, key: str) -> list[tuple]:
+    """The 2-arrays of a JSON array as tuples; FormatError on any other item."""
+    pairs = [tuple(e) for e in items if isinstance(e, list) and len(e) == 2]
+    if len(pairs) != len(items):
+        raise FormatError(f"{key!r} must hold 2-arrays")
+    return pairs

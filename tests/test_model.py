@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import lex_shortest_path
+from brute_force import lex_shortest_path, parse_reference
 from conftest import disconnected_overlay_instance, subsample_overlay
 from deepconn import fixtures, model
 from deepconn.errors import BudgetExceededError, DeepConnError, FormatError, ValidationError
@@ -135,6 +135,85 @@ _PATH_DOC = {
 def test_parse_rejects_invalid_document(changes, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         parse_instance(json.dumps({**_PATH_DOC, **changes}))
+
+
+_PEERS_ABC = {"peers": ["a", "b", "c"]}
+
+
+def _routes(*extra):
+    """_PATH_DOC's route a-b-c, then a route entry per (pair, path)."""
+    return _PATH_DOC["routes"] + [{"pair": pair, "path": path} for pair, path in extra]
+
+
+# Two faults per document; the first one in reporting order wins.
+@pytest.mark.parametrize(
+    "changes, error, message",
+    [
+        (
+            {"nodes": ["a", "b", "c", "a-"], "routes": _routes((["a"], ["a", "c"]))},
+            FormatError,
+            "route pair ['a'] is not a 2-array",
+        ),
+        (
+            {"nodes": ["a", "b", "c", "a-"], "routes": _routes((["c", "a"], ["c", "b", "a"]))},
+            ValidationError,
+            "duplicate route for pair ('a', 'c')",
+        ),
+        (
+            {
+                "edges": [["a", "b"], ["b", "c"], ["a", "a"]],
+                "routes": [{"pair": ["a", "c"], "path": ["a", "c"]}],
+            },
+            ValidationError,
+            "self-loop at a",
+        ),
+        (
+            {**_PEERS_ABC, "overlay_edges": [["a", "c"], ["c", "a"], ["a", "b"]]},
+            ValidationError,
+            "duplicate overlay edge ('a', 'c')",
+        ),
+        (
+            {**_PEERS_ABC, "overlay_edges": [["a", "b"], ["a", "c"], ["c", "a"]]},
+            ValidationError,
+            "overlay edge ('a', 'b') has no route",
+        ),
+        (
+            {"overlay_edges": [["a", "c"], [["a"], "c"], ["a", "a"]]},
+            ValidationError,
+            "invalid node name in overlay edge [['a'], 'c']",
+        ),
+        (
+            {"edges": [["a", "b"], ["b", "c"], [1, 2], ["a", "d"]]},
+            ValidationError,
+            "invalid node name in edge [1, 2]",
+        ),
+        (
+            {"edges": [["a", "b"], ["b", "c"], ["a", ["b"]], ["b", "b"]]},
+            ValidationError,
+            "invalid node name in edge ['a', ['b']]",
+        ),
+        (
+            {"edges": [["a", "b"], ["b", "c", "a"]], "routes": _routes(("ac", ["a", "c"]))},
+            FormatError,
+            "route pair 'ac' is not a 2-array",
+        ),
+    ],
+    ids=[
+        "route-format-before-names",
+        "duplicate-route-before-names",
+        "self-loop-before-routes",
+        "duplicate-overlay-before-unrouted",
+        "unrouted-before-duplicate-overlay",
+        "unhashable-overlay-name",
+        "integer-edge-names",
+        "unhashable-edge-name",
+        "route-format-before-edge-format",
+    ],
+)
+def test_error_precedence(changes, error, message):
+    with pytest.raises(DeepConnError) as caught:
+        parse_instance(json.dumps({**_PATH_DOC, **changes}))
+    assert (type(caught.value), str(caught.value)) == (error, message)
 
 
 def test_parse_rejects_disconnected_graph():
@@ -610,3 +689,113 @@ def _obeys_schema(doc):
         )
         and all(names(r["pair"]) and len(r["pair"]) == 2 and names(r["path"]) for r in doc["routes"])
     )
+
+
+_LISTS = ("nodes", "edges", "peers", "overlay_edges", "routes")
+# Bad, unknown, integer and unhashable names.
+_BAD_NAMES = st.sampled_from(["a-", "", "n 1", "zz", 0, 7, True, None, 1.5, ["n00"], {"n": 1}])
+
+
+def _random_doc(rng):
+    """The document of a random 3-7-node instance with a random share of its
+    overlay and every route.
+    """
+    n = rng.randint(3, 7)
+    policy = rng.choice(ROUTE_POLICIES)
+    inst = random_instance(n, rng.randint(2, n), 0.5, policy, rng.randrange(10**6))
+    return json.loads(serialize_instance(subsample_overlay(rng, inst, rng.random())))
+
+
+def _shuffled(doc, rng):
+    """doc with every list in a random order and every pair in a random
+    orientation: the same instance, written another way.
+    """
+    for key in _LISTS:
+        rng.shuffle(doc[key])
+    for e in doc["edges"] + doc["overlay_edges"] + [r["pair"] for r in doc["routes"]]:
+        if rng.random() < 0.5:
+            e.reverse()
+    for r in doc["routes"]:
+        if rng.random() < 0.5:
+            r["path"].reverse()
+    return doc
+
+
+def _name_slots(doc):
+    """(list, index) of every name in a well-formed document."""
+    lists = [doc["nodes"], doc["peers"], *doc["edges"], *doc["overlay_edges"]]
+    lists += [r[k] for r in doc["routes"] for k in ("pair", "path")]
+    return [(names, i) for names in lists for i in range(len(names))]
+
+
+def _mutate(doc, kind, rng, data):
+    """Apply one fault of the given kind to a well-formed document."""
+    nodes, peers, routes = doc["nodes"], doc["peers"], doc["routes"]
+    paths = [r["path"] for r in routes]
+    if kind == "rename":
+        names, i = rng.choice(_name_slots(doc))
+        names[i] = data.draw(_BAD_NAMES) if rng.random() < 0.5 else rng.choice(nodes)
+    elif kind == "duplicate" and (items := doc[rng.choice(_LISTS)]):
+        copied = copy.deepcopy(rng.choice(items))
+        if isinstance(copied, list) and rng.random() < 0.5:
+            copied.reverse()
+        elif isinstance(copied, dict) and rng.random() < 0.5:
+            copied["pair"].reverse()
+        items.insert(rng.randint(0, len(items)), copied)
+    elif kind == "self-loop":
+        key, among = rng.choice([("edges", nodes), ("overlay_edges", peers)])
+        x = rng.choice(among)
+        doc[key].insert(rng.randint(0, len(doc[key])), [x, x])
+    elif kind == "non-edge" and paths:
+        path = rng.choice(paths)
+        path[1:-1] = [rng.choice(nodes)] if rng.random() < 0.5 else []
+    elif kind == "not-simple" and paths:
+        path = rng.choice(paths)
+        path.insert(rng.randint(0, len(path)), rng.choice(path))
+    elif kind == "endpoints" and paths:
+        path = rng.choice(paths)
+        if rng.random() < 0.5:
+            path[rng.choice([0, -1])] = rng.choice(nodes)
+        else:
+            del path[rng.choice([0, -1])]
+    elif kind == "unrouted" and routes:
+        del routes[rng.randrange(len(routes))]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_SEMANTIC_FAULTS = [
+    "rename", "duplicate", "self-loop", "non-edge", "not-simple", "endpoints", "unrouted"
+]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    data=st.data(),
+    rng=st.randoms(use_true_random=False),
+    faults=st.lists(st.sampled_from(_SEMANTIC_FAULTS), max_size=3),
+    structural=st.sampled_from([None, None, "drop", "retype"]),
+)
+def test_parse_matches_reference_on_mutated_documents(data, rng, faults, structural):
+    """Every mutated document gives the reference's error class and message,
+    or its instance: faults of each kind in any number and document order,
+    then at most one dropped key or wrongly typed value.
+    """
+    doc = copy.deepcopy(_FUZZ_DOCS[0]) if rng.random() < 0.3 else _random_doc(rng)
+    doc = _shuffled(doc, rng)
+    for kind in faults:
+        _mutate(doc, kind, rng, data)
+    if structural == "drop":
+        owner = doc if rng.random() < 0.5 or not doc["routes"] else rng.choice(doc["routes"])
+        if owner:
+            del owner[rng.choice(sorted(owner))]
+    elif structural == "retype":
+        path = rng.choice(list(_positions(doc)))
+        doc = _replace_at(doc, path, lambda old: data.draw(_JSON_VALUES))
+    text = json.dumps(doc)
+    assert _outcome(parse_instance, text) == _outcome(parse_reference, text)
