@@ -10,23 +10,23 @@ the number of components minus one of the peers joined by the overlay
 edges routed around that G-edge.  The state keeps one int per peer pair,
 its separation mask: bit i is set when the pair's endpoints lie in
 different components for tracked edge i and that edge is not on the
-pair's route.  ``compute_kappa`` builds it for any overlay from the stored
-route supports, ``Instance.supports``: partition i is a breadth-first
-labelling over the overlay hops whose supports miss tracked[i], and a pair
-across two of its groups gets bit i iff its own support misses tracked[i].
-Adding the pair merges exactly those components, so delta is the mask's
-popcount.  Adding an edge visits only its mask's bits: for each, it merges
-the smaller component's member list into the larger and clears the bit on
-every pair across the two, so the work over a whole run is bounded by the
-cross pairs of the starting partitions.
+pair's route.  Adding the pair merges exactly those components, so delta
+is the mask's popcount.  Adding an edge visits only its mask's bits: for
+each, it merges the smaller component's member list into the larger and
+clears the bit on every pair across the two, so the work over a whole run
+is bounded by the cross pairs of the starting partitions.
 
-The greedy starts from the tree's own state, which has a closed form.  Let
-own[p] be the tracked bits of pair p's route.  Partition i of the tree is
-the tree minus the tree edges whose own mask has bit i, so kappa_i is the
-number of those edges, and two peers lie apart there iff their tree path
-holds one of them.  So sep[p] is the OR of own over p's tree path, with
-p's own bits cleared; one walk of the tree gives every path's OR, and no
-pair's support is searched.  The labelling is ``compute_kappa``'s.
+A state is built in one of two ways.  Let own[p] be the tracked bits of
+pair p's route.  ``compute_kappa`` starts with every peer alone in every
+partition, so sep[p] is every tracked bit but own[p], and adds the overlay
+pairs one by one with ``add_edge``, which merges exactly what the
+definition merges.  The greedy starts from the tree's own state, which has
+a closed form.  Partition i of the tree is the tree minus the tree edges
+whose own mask has bit i, so kappa_i is the number of those edges, and two
+peers lie apart there iff their tree path holds one of them.  So sep[p] is
+the OR of own over p's tree path, with p's own bits cleared.  One walk of
+the tree gives every path's OR and every partition's groups, and no pair's
+support is searched.
 
 Each greedy round adds the first pair of largest gain in ``peer_pairs``
 order, found lazily (Minoux's accelerated greedy).  Delta is antitone:
@@ -40,21 +40,21 @@ with its current gain, or out for good at zero gain, since it never gains
 again.  Tree pairs start at zero and an added pair's mask is cleared, so
 overlay pairs never enter or re-enter the heap.
 
-The kappa state is also the one feasibility test.  The precondition,
+The greedy is also the one feasibility test.  The precondition,
 ERDC(K_P) >= 2, fails at a G-edge when removing the pairs routed through
 it disconnects K_P.  Once no pair has a positive gain, partition i is
 exactly the components of K_P minus the pairs routed through tracked[i],
 so kappa_i > 0 there iff tracked[i] violates the precondition; an
 untracked G-edge never does, because the tree survives its failure.  The
 greedy raises PreconditionError at the first such edge when no live pair
-gains, and check_precondition builds the state of K_P itself.
+gains; kappa never rises, so when it drains to zero instead, K_P's kappa
+is zero too.  check_precondition runs the greedy from the star tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heapreplace
-from itertools import combinations
 
 from .errors import PreconditionError, ValidationError
 from .model import Edge, Instance, adjacency, connected, edge_key, peer_pairs
@@ -87,49 +87,40 @@ def compute_kappa(instance: Instance, overlay, tree) -> AugmentationState:
     routes of a spanning tree of peer pairs.  The overlay is any set of peer
     pairs; it need not contain the tree.
     """
-    tree, tracked = _tracked_edges(instance, tree)
+    tree, tracked, own = _tracked_edges(instance, tree)
     overlay = {edge_key(*e) for e in overlay}
-    supports = instance.supports  # keyed by exactly the peer pairs
     # A spanning tree holds only peer pairs, so only the overlay can stray.
-    stray = overlay.difference(supports)
+    stray = overlay.difference(own)
     if stray:
         raise ValidationError(f"edge {min(stray)} is not a pair of distinct peers")
-    sep = dict.fromkeys(supports, 0)
-    components = []
-    kappa_i = []
-    for i, (comp, groups) in enumerate(_partitions(instance, overlay, tracked)):
-        # A pair across two groups joins them unless e_i is on its route.  An
-        # overlay pair across two groups has e_i on its route, so it reads 0.
-        e_i = tracked[i]
-        bit = 1 << i
-        for a, b in combinations(groups, 2):
-            for x in a:
-                for y in b:
-                    p = (x, y) if x < y else (y, x)
-                    if e_i not in supports[p]:
-                        sep[p] |= bit
-        components.append(comp)
-        kappa_i.append(len(groups) - 1)
-    return AugmentationState(overlay, tracked, sep, components, kappa_i)
+    # Every peer alone in every partition: a pair joins two groups of
+    # partition i unless tracked[i] is on its route.
+    full = (1 << len(tracked)) - 1
+    sep = {p: full & ~m for p, m in own.items()}
+    components = [{x: [x] for x in instance.peers} for _ in tracked]
+    kappa_i = [len(instance.peers) - 1] * len(tracked)
+    state = AugmentationState(set(), tracked, sep, components, kappa_i)
+    for e in sorted(overlay):
+        add_edge(state, e)
+    return state
 
 
 def _tree_state(instance: Instance, tree) -> AugmentationState:
     """``compute_kappa(instance, tree, tree)`` in closed form: sep[p] is
     the OR of the tracked bits of the routes on p's tree path, less the
-    tracked bits of p's own route (see the module docstring).
+    tracked bits of p's own route, and partition i is the tree less its
+    edges with bit i (see the module docstring).
     """
-    tree, tracked = _tracked_edges(instance, tree)
-    supports = instance.supports
-    bit = dict.fromkeys(instance.edges, 0)
-    for i, e in enumerate(tracked):
-        bit[e] = 1 << i
-    own = {p: sum(map(bit.__getitem__, support)) for p, support in supports.items()}
+    tree, tracked, own = _tracked_edges(instance, tree)
     adj = adjacency(instance.peers, tree)
     # path[x][y] is the OR of own over the x-y tree path.  The walk meets
     # each peer z from its tree neighbour x before any peer beyond z, so
-    # z's path to every peer met so far runs through x.
+    # z's path to every peer met so far runs through x, and z joins x's
+    # group in each partition whose bit the tree edge (x, z) lacks.
     root = instance.peers[0]
     path: dict[str, dict[str, int]] = {root: {}}
+    components = [{root: [root]} for _ in tracked]
+    kappa_i = [0] * len(tracked)
     queue = [root]
     for x in queue:
         row = path[x]
@@ -140,51 +131,36 @@ def _tree_state(instance: Instance, tree) -> AugmentationState:
                 for y, mask in zrow.items():
                     path[y][z] = mask
                 zrow[x] = row[z] = m
+                for i, comp in enumerate(components):
+                    if m >> i & 1:
+                        comp[z] = [z]
+                        kappa_i[i] += 1
+                    else:
+                        comp[z] = comp[x]
+                        comp[z].append(z)
                 queue.append(z)
     sep = {p: path[p[0]][p[1]] & ~m for p, m in own.items()}
-    labels = list(_partitions(instance, tree, tracked))
-    components = [comp for comp, _ in labels]
-    kappa_i = [len(groups) - 1 for _, groups in labels]
     return AugmentationState(tree, tracked, sep, components, kappa_i)
 
 
-def _tracked_edges(instance: Instance, tree) -> tuple[set[Edge], tuple[Edge, ...]]:
-    """The canonical base tree and the sorted G-edges on its routes, after
-    the checks that routing is total and the tree spans the peers.
+def _tracked_edges(
+    instance: Instance, tree
+) -> tuple[set[Edge], tuple[Edge, ...], dict[Edge, int]]:
+    """The canonical base tree, the sorted G-edges on its routes, and each
+    peer pair's tracked bits (bit i for tracked[i] on its route), after the
+    checks that routing is total and the tree spans the peers.
     """
     if not instance.total:
         raise ValidationError("sparsifier requires a total routing scheme")
     tree = {edge_key(*e) for e in tree}
     _check_spanning_tree(instance, tree)
-    supports = instance.supports
-    return tree, tuple(sorted(set().union(*(supports[e] for e in tree))))
-
-
-def _partitions(instance: Instance, overlay, tracked):
-    """Per tracked edge e_i, the breadth-first labelling of the peers over
-    the overlay edges whose routes avoid e_i: each peer's group list, and
-    the groups.  Each group list is its own queue.
-    """
-    supports = instance.supports
-    hops: dict[str, list[tuple[str, frozenset[Edge]]]] = {x: [] for x in instance.peers}
-    for u, v in overlay:
-        hops[u].append((v, supports[(u, v)]))
-        hops[v].append((u, supports[(u, v)]))
-    for e_i in tracked:
-        comp: dict[str, list[str]] = {}
-        groups = []
-        for x in instance.peers:
-            if x in comp:
-                continue
-            group = [x]
-            comp[x] = group
-            for y in group:
-                for z, support in hops[y]:
-                    if z not in comp and e_i not in support:
-                        comp[z] = group
-                        group.append(z)
-            groups.append(group)
-        yield comp, groups
+    supports = instance.supports  # keyed by exactly the peer pairs
+    tracked = tuple(sorted(set().union(*(supports[e] for e in tree))))
+    bit = dict.fromkeys(instance.edges, 0)
+    for i, e in enumerate(tracked):
+        bit[e] = 1 << i
+    own = {p: sum(map(bit.__getitem__, support)) for p, support in supports.items()}
+    return tree, tracked, own
 
 
 def _check_spanning_tree(instance: Instance, tree) -> None:
@@ -241,22 +217,19 @@ def add_edge(state: AugmentationState, e: Edge) -> None:
         state.kappa_i[i] -= 1
 
 
-def _first_violation(state: AugmentationState) -> Edge | None:
-    """The first tracked edge whose partition has more than one component."""
-    return next((e for e, k in zip(state.tracked, state.kappa_i) if k), None)
-
-
 def check_precondition(instance: Instance) -> tuple[bool, Edge | None]:
     """Feasibility of the 2-survivable target on the complete peer graph.
 
     ok iff no single underlying edge disconnects K_P once every peer pair
-    routed through it is removed: the kappa of K_P itself is zero.  Returns
-    the first violating edge in canonical order otherwise.
+    routed through it is removed.  The greedy from the star tree drains
+    kappa to zero exactly then, and otherwise names the first violating
+    edge in canonical order (see the module docstring).
     """
-    witness = _first_violation(
-        compute_kappa(instance, peer_pairs(instance), star_tree(instance))
-    )
-    return witness is None, witness
+    try:
+        sparsify(instance)
+    except PreconditionError as exc:
+        return False, exc.witness
+    return True, None
 
 
 def greedy_augment(
@@ -294,7 +267,7 @@ def greedy_augment(
             else:
                 heappop(heap)
         else:  # the heap ran dry: no pair gains
-            witness = _first_violation(state)
+            witness = next(e for e, k in zip(state.tracked, state.kappa_i) if k)
             raise PreconditionError(
                 f"precondition ERDC(K_P) >= 2 violated at edge ({witness[0]},{witness[1]})",
                 witness,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import brute_force_augment
+from brute_force import brute_force_augment, precondition_reference
 from conftest import random_connected_graph
 import deepconn
 from deepconn import fixtures
@@ -73,17 +73,6 @@ def cycle_instance(n):
             arc = [i] + list(range(i - 1, j - n - 1, -1))
         routes[(nodes[i], nodes[j])] = tuple(nodes[k % n] for k in arc)
     return build_instance(nodes, edges, nodes, edges, routes)
-
-
-def precondition_reference(instance):
-    """The union-find test on every routed G-edge, without the load cut."""
-    pairs = list(peer_pairs(instance))
-    routed = set().union(*(instance.route_support(*p) for p in pairs))
-    for e in sorted(routed):
-        kept = [p for p in pairs if e not in instance.route_support(*p)]
-        if not _still_connected(list(instance.peers), kept):
-            return False, e
-    return True, None
 
 
 def full_rescan_greedy(instance, tree):
@@ -241,6 +230,7 @@ def test_tree_state_matches_compute_kappa(seed, n_nodes, policy, tree_kind):
     inst = random_instance(n_nodes, rng.randint(2, n_nodes), 0.5, policy, seed=seed)
     tree = _draw_tree(inst, tree_kind, rng)
     state = _tree_state(inst, tree)
+    assert_state_matches_reference(inst, state)
     reference = compute_kappa(inst, tree, tree)
     assert state.overlay == reference.overlay == set(tree)
     assert state.tracked == reference.tracked
@@ -503,6 +493,25 @@ def test_compute_kappa_rejects_self_pair():
     tree = [("a", "b"), ("b", "c")]
     with pytest.raises(ValidationError, match="not a pair of distinct peers"):
         compute_kappa(inst, tree + [("b", "b")], tree)
+
+
+def test_compute_kappa_error_precedence(fig1):
+    # The routing check comes first, then the tree checks, and the smallest
+    # canonical non-pair of the overlay is the one named, even when the
+    # overlay's names do not all compare with each other.
+    inst = three_cycle()
+    tree = [("a", "b"), ("b", "c")]
+    cases = [
+        (inst, tree + [("c", "zz"), ("b", "b")], tree, "edge ('b', 'b') is not a pair of distinct peers"),
+        (inst, [("zz", "a")] + tree, tree, "edge ('a', 'zz') is not a pair of distinct peers"),
+        (inst, tree + [(1, 2)], tree, "edge (1, 2) is not a pair of distinct peers"),
+        (inst, tree + [("c", "zz")], tree[:1], "base tree has wrong edge count"),
+        (fig1, [("S", "zz")], star_tree(fig1), "sparsifier requires a total routing scheme"),
+    ]
+    for instance, overlay, base, message in cases:
+        with pytest.raises(ValidationError) as info:
+            compute_kappa(instance, overlay, base)
+        assert str(info.value) == message
 
 
 def test_greedy_three_cycle():
