@@ -13,9 +13,11 @@ long as ``BENCHMARK.json``'s ``run_seconds``, pair i with seed first-seed + i
 on both sides and the base first in even pairs.  Prints each side's first
 quartile, median and third quartile for every end-to-end metric of
 ``BENCHMARK.json``, and in how many pairs the working tree was better (a tie
-counts for neither side).  After the pairs, runs one traced run
-(``--trace 1``, seed first-seed, as long) in each copy; their per-layer
-metrics are stored beside the pairs as ``layers``.  With ``-o``, the result
+counts for neither side).  After the pairs, runs three traced runs
+(``--trace 1``, as long) in each copy, run i with seed first-seed + i on
+both sides and the sides alternating as in the pairs; each side's per-layer
+metrics are stored beside the pairs as ``layers``, each as its first
+quartile, median and third quartile over the three.  With ``-o``, the result
 is stored under the workload's name in a JSON object in that file, with a
 command line that reruns the same comparison (the base named by its sha);
 other workloads' entries are kept.  Exits 1 when an op failed or a run,
@@ -39,6 +41,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_RUNS = 3
 
 
 def git(*args: str) -> bytes:
@@ -140,10 +143,19 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs} seed {seed}: ops_per_s "
                   f"base {run['base']['metrics']['ops_per_s']:.1f} "
                   f"change {run['change']['metrics']['ops_per_s']:.1f}", file=sys.stderr)
-        layers = {side: run_bench(checkouts[side], args.workload, args.first_seed,
-                                  seconds, trace=True) for side in ("base", "change")}
+        traced = {"base": [], "change": []}
+        for i in range(TRACED_RUNS):
+            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                traced[side].append(run_bench(checkouts[side], args.workload,
+                                              args.first_seed + i, seconds, trace=True))
 
     summary = summarize(runs, benchmark["end_to_end"])
+    layers = {side: {
+        "correct": all(r["correct"] for r in rs),
+        "failed": sum(r["failed"] for r in rs),
+        "metrics": {name: quartiles([r["metrics"][name] for r in rs])
+                    for name in rs[0]["metrics"]},
+    } for side, rs in traced.items()}
     print(f"{args.workload}: {args.pairs} pairs of {seconds:g} s runs, "
           f"base {base_sha[:12]} vs working tree")
     print(f"{'metric':<14}{'base q1 / median / q3':>30}{'change q1 / median / q3':>30}  wins")

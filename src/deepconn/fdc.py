@@ -50,8 +50,9 @@ class FlowResult:
             if flow < 0:
                 raise ValidationError("negative primal flow")
             total += flow
-            for e, mult in route_image(instance, path).items():
-                load[e] = load.get(e, ZERO) + mult * flow
+            for u, v in zip(path, path[1:]):
+                for e in instance.route_support(u, v):
+                    load[e] = load.get(e, ZERO) + flow
         if any(v > 1 for v in load.values()):
             raise ValidationError("primal violates an edge capacity")
         if total != self.value or sum(self.dual.values(), ZERO) != self.value:

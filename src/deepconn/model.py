@@ -198,8 +198,8 @@ def peer_pairs(instance: Instance):
 
 
 def shortest_path(hops, masks, s: str, t: str, failed: int = 0) -> Path | None:
-    """The lexicographically first fewest-hop (s,t)-path that survives the
-    failure ``failed``; None when t is unreachable.
+    """The lexicographically first fewest-hop (s,t)-path, s != t, that
+    survives the failure ``failed``; None when t is unreachable.
 
     ``hops[u]`` lists u's (neighbour, number) hops in sorted neighbour
     order, as ``Instance.numbered_overlay`` does, and a hop is alive iff
@@ -207,20 +207,21 @@ def shortest_path(hops, masks, s: str, t: str, failed: int = 0) -> Path | None:
     from s then reaches the vertices of each layer in the order of their
     lexicographically first shortest paths, so the vertex that first
     reaches v lies on v's lexicographically first shortest path, and the
-    chain of first discoverers back from t is t's.
+    chain of first discoverers back from t is t's.  The search stops when
+    t is discovered: its first discoverer is already fixed.
     """
     prev: dict[str, str] = {s: s}
     queue = deque([s])
     while queue:
         u = queue.popleft()
-        if u == t:
-            path = [t]
-            while path[-1] != s:
-                path.append(prev[path[-1]])
-            return tuple(reversed(path))
         for v, f in hops[u]:
             if v not in prev and not masks[f] & failed:
                 prev[v] = u
+                if v == t:
+                    path = [t]
+                    while path[-1] != s:
+                        path.append(prev[path[-1]])
+                    return tuple(reversed(path))
                 queue.append(v)
     return None
 

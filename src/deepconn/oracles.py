@@ -8,7 +8,7 @@ Budgets are hard guards: the searches fail loudly instead of approximating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 from .errors import BudgetExceededError, ValidationError
 from .fdc import fdc_pair
@@ -69,6 +69,16 @@ def _survivor(instance: Instance, failed: int, s: str, t: str) -> Path | None:
     return shortest_path(hops, instance.support_masks, s, t, failed)
 
 
+def _seed_paths(instance: Instance, s: str, t: str):
+    """Yield the paths of ``seed_packing`` one at a time, each found only
+    when it is asked for; the pair is not checked.
+    """
+    failed = 0
+    while (path := _survivor(instance, failed, s, t)) is not None:
+        yield path
+        failed |= _image_masks(instance, [path])[0]
+
+
 def seed_packing(instance: Instance, s: str, t: str) -> list[Path]:
     """Overlay (s,t)-paths with pairwise disjoint images, found greedily.
 
@@ -77,14 +87,11 @@ def seed_packing(instance: Instance, s: str, t: str) -> list[Path]:
     one G-edge mask, and each path ORs its image mask into it.  So every
     cut needs one G-edge per seed path.  The seed's size bounds ERDC and
     PDDC from below, and its simply implemented paths bound SPDDC and FDC.
+    The paths are those of ``_seed_paths``, which ``all_pairs`` pulls only
+    as far as its bounds need.
     """
     check_pair(instance, s, t)
-    failed = 0
-    seed = []
-    while (path := _survivor(instance, failed, s, t)) is not None:
-        seed.append(path)
-        failed |= _image_masks(instance, [path])[0]
-    return seed
+    return list(_seed_paths(instance, s, t))
 
 
 def erdc_pair(
@@ -269,26 +276,36 @@ def pair_parameter(instance: Instance, which: str, s: str, t: str, **kwargs):
 def all_pairs(instance: Instance, which: str, **kwargs):
     """Minimum over unordered peer pairs; lexicographically smallest argmin.
 
-    Each pair's ``seed_packing`` bounds its value from below: the seed's
-    size for "erdc" and "pddc", its simply implemented paths for "spddc"
-    and "fdc".  Pairs are searched in (bound, pair) order until a pair's
-    (bound, pair) exceeds the best (value, pair) found, which no later pair
-    can then beat.  A budget in ``kwargs`` bounds each pair search on its
-    own, and a skipped pair runs none.
+    Each pair's seed (``_seed_paths``) bounds its value from below: the
+    seed's size for "erdc" and "pddc", its simply implemented paths for
+    "spddc" and "fdc".  The bounds grow level by level.  At level k = 0, 1,
+    2, ... the pending pairs are visited in ``peer_pairs`` order, each with
+    k counted seed paths pulled so far; the search ends at the first whose
+    (k, pair) exceeds the best (value, pair) found, which no pair left can
+    then beat.  Otherwise one more counted path is pulled: if the seed has
+    run out, the pair's bound is k and it is searched, else its bound
+    exceeds k and it waits for the next level.  So the pairs searched, and
+    their order, are those of sorting every pair by (bound, pair), but a
+    pair that is never searched never finishes its seed.  A budget in
+    ``kwargs`` bounds each pair search on its own, and a skipped pair runs
+    none.
     """
-    simple = which in ("spddc", "fdc")
-
-    def bound(pair) -> int:
-        seed = seed_packing(instance, *pair)
-        if simple:
-            return sum(_simply_implemented(instance, p) for p in seed)
-        return len(seed)
+    pending = {}
+    for pair in peer_pairs(instance):
+        seed = _seed_paths(instance, *pair)
+        if which in ("spddc", "fdc"):
+            seed = (p for p in seed if _simply_implemented(instance, p))
+        pending[pair] = seed
 
     best = None
-    for low, pair in sorted((bound(pair), pair) for pair in peer_pairs(instance)):
-        if best is not None and (low, pair) > best[:2]:
-            break
-        value, witness = pair_parameter(instance, which, *pair, **kwargs)
-        if best is None or (value, pair) < best[:2]:
-            best = (value, pair, witness)
-    return best
+    for k in count():
+        if not pending:
+            return best
+        for pair, counted in list(pending.items()):
+            if best is not None and (k, pair) > best[:2]:
+                return best
+            if next(counted, None) is None:
+                del pending[pair]
+                value, witness = pair_parameter(instance, which, *pair, **kwargs)
+                if best is None or (value, pair) < best[:2]:
+                    best = (value, pair, witness)

@@ -23,9 +23,11 @@ from deepconn.model import (
     connected,
     edge_key,
     enumerate_simple_paths,
+    is_simple_concatenation,
     peer_pairs,
     route_image,
 )
+from deepconn.oracles import pair_parameter, seed_packing
 
 
 def _root(parent, x):
@@ -233,6 +235,30 @@ def seed_reference(instance, s, t):
         for e in route_image(instance, path):
             dead |= instance.kill_sets[e]
     return seed
+
+
+def all_pairs_reference(instance, which, **kwargs):
+    """The all-pairs minimum with eager bounds: every pair's full seed
+    first, then the pairs searched in sorted (bound, pair) order until a
+    pair's (bound, pair) exceeds the best (value, pair) found.  The bound is
+    the seed's size for "erdc" and "pddc", its simply implemented paths for
+    "spddc" and "fdc".
+    """
+
+    def bound(pair):
+        seed = seed_packing(instance, *pair)
+        if which in ("spddc", "fdc"):
+            return sum(is_simple_concatenation(instance, p) for p in seed)
+        return len(seed)
+
+    best = None
+    for low, pair in sorted((bound(pair), pair) for pair in peer_pairs(instance)):
+        if best is not None and (low, pair) > best[:2]:
+            break
+        value, witness = pair_parameter(instance, which, *pair, **kwargs)
+        if best is None or (value, pair) < best[:2]:
+            best = (value, pair, witness)
+    return best
 
 
 def set_packing_brute_force(system: SetSystem, k: int, budget: int = 1_000_000) -> bool:

@@ -1,12 +1,19 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import classic_edge_connectivity, lex_shortest_path, seed_reference
+from brute_force import (
+    all_pairs_reference,
+    classic_edge_connectivity,
+    lex_shortest_path,
+    seed_reference,
+)
 from conftest import (
     disconnected_overlay_instance,
     random_connected_graph,
@@ -17,7 +24,7 @@ from deepconn.cli import _witness
 from deepconn.errors import BudgetExceededError, ValidationError
 from deepconn.fdc import fdc_pair
 from deepconn.gadgets import ROUTE_POLICIES, random_instance
-from deepconn.model import adjacency, peer_pairs
+from deepconn.model import adjacency, parse_instance, peer_pairs
 from deepconn.oracles import (
     CutCertificate,
     PathPacking,
@@ -236,6 +243,76 @@ def test_all_pairs_matches_min_loop(seed, n_nodes, keep, policy):
         expected = min_loop(inst, which)
         assert (value, pair) == expected[:2]
         assert _witness(witness) == _witness(expected[2])
+
+
+def _searched(minimum, instance, which, **kwargs):
+    """The pairs ``minimum`` (an all-pairs function) searches, in order,
+    and its (value, pair, witness), or the message of its budget error.
+    """
+    calls = []
+    search = oracles._PAIR_OPS[which]
+
+    def recorded(instance, s, t, **kwargs):
+        calls.append((s, t))
+        return search(instance, s, t, **kwargs)
+
+    with patch.dict(oracles._PAIR_OPS, {which: recorded}):
+        try:
+            value, pair, witness = minimum(instance, which, **kwargs)
+        except BudgetExceededError as exc:
+            return calls, str(exc)
+    return calls, (value, pair, _witness(witness))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_nodes=st.integers(6, 12),
+    keep=st.floats(0.3, 1.0),
+    policy=st.sampled_from(ROUTE_POLICIES),
+    budget=st.one_of(st.none(), st.integers(0, 40)),
+)
+def test_all_pairs_searches_in_the_order_of_the_eager_reference(
+    seed, n_nodes, keep, policy, budget
+):
+    """Seeds grown level by level search the pairs that full seeds sorted by
+    (bound, pair) search, in the same order, and give the same answer or
+    raise the same budget error.
+    """
+    rng = random.Random(seed)
+    full = random_instance(n_nodes, rng.randint(3, min(n_nodes, 7)), 0.4, policy, seed=seed)
+    inst = subsample_overlay(rng, full, keep)
+    for which in ("erdc", "pddc", "spddc", "fdc"):
+        kwargs = {} if budget is None or which == "fdc" else {"budget": budget}
+        assert _searched(all_pairs, inst, which, **kwargs) == _searched(
+            all_pairs_reference, inst, which, **kwargs
+        )
+
+
+@pytest.mark.parametrize(
+    "which, document, most",
+    [("pddc", None, 29), ("erdc", "forty_nodes.json", 387)],
+)
+def test_all_pairs_stops_growing_seeds_it_does_not_need(
+    fig1, monkeypatch, which, document, most
+):
+    """A pair that is never searched never finishes its seed, and each
+    overlay search stops at t.  Full seeds for every pair take 68 searches
+    on fig1 and 1,197 on the 40-node fixture.
+    """
+    instance = fig1
+    if document is not None:
+        instance = parse_instance((Path(__file__).parent / "data" / document).read_text())
+    calls = []
+    search = oracles.shortest_path
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(oracles, "shortest_path", counted)
+    all_pairs(instance, which)
+    assert len(calls) <= most
 
 
 def test_classic_connectivity():

@@ -37,14 +37,18 @@ def _load_bench_pairs(monkeypatch):
     return bench_pairs
 
 
-def _run_pairs(tmp_path, monkeypatch, incorrect):
+def _run_pairs(tmp_path, monkeypatch, incorrect, calls=None):
     """bench_pairs over two fake pairs; ``incorrect(side, trace)`` says which
-    runs read correct: false.  Returns the exit code and the stored entry.
+    runs read correct: false.  Each traced run reads a layer share of 0.25
+    (base) or 0.5 (change) plus its seed.  Returns the exit code and the
+    stored entry; ``calls`` gets each run's (side, seed, trace).
     """
     bench_pairs = _load_bench_pairs(monkeypatch)
 
     def run_bench(checkout, workload, seed, seconds, trace=False):
-        share = 0.25 if checkout.name == "base" else 0.5
+        if calls is not None:
+            calls.append((checkout.name, seed, trace))
+        share = (0.25 if checkout.name == "base" else 0.5) + seed
         return {
             "correct": not incorrect(checkout.name, trace),
             "failed": 0,
@@ -68,15 +72,22 @@ def test_bench_pairs_exits_1_on_a_bad_run_and_keeps_its_record(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("bad_side", [None, "base", "change"])
-def test_bench_pairs_stores_one_traced_run_per_side(tmp_path, monkeypatch, bad_side):
+def test_bench_pairs_stores_three_traced_runs_per_side(tmp_path, monkeypatch, bad_side):
+    calls = []
     code, entry = _run_pairs(
-        tmp_path, monkeypatch, lambda side, trace: trace and side == bad_side
+        tmp_path, monkeypatch, lambda side, trace: trace and side == bad_side, calls
     )
     assert code == (bad_side is not None)
+    # Seeds first-seed to first-seed + 2, the sides alternating.
+    assert [c[:2] for c in calls if c[2]] == [
+        ("base", 1), ("change", 1), ("change", 2), ("base", 2), ("base", 3), ("change", 3)
+    ]
     layers = entry["layers"]
     assert layers.keys() == {"base", "change"}
-    assert layers["base"]["metrics"] == {"layer.sparsifier.self_share": 0.25}
-    assert layers["change"]["metrics"] == {"layer.sparsifier.self_share": 0.5}
+    for side, share in (("base", 0.25), ("change", 0.5)):
+        assert layers[side]["metrics"] == {"layer.sparsifier.self_share": pytest.approx(
+            {"q1": share + 1.5, "median": share + 2, "q3": share + 2.5}
+        )}
     assert [layers[side]["correct"] for side in ("base", "change")] == [
         bad_side != "base", bad_side != "change"
     ]
