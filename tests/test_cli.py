@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -884,3 +886,131 @@ def test_gen_output_bytes_are_pinned(tmp_path, capsys, argv, digests):
         hashlib.sha256(labels_path.read_bytes()).hexdigest() if extra else None,
     )
     assert found == digests
+
+
+
+# Each report case runs once in text mode and once with --json.  An "@name"
+# argument is the path of the document "name" (or of the -o file "out").
+_REPORT_CASES = {
+    "validate": ["validate", "-i", "@fig1"],
+    "check": ["check", "-i", "@fig1"],
+    "check-whole-fdc": ["check", "-i", "@shared_edge"],
+    "special-case": ["special-case", "-i", "@triangle", "-o", "@out"],
+    "sparsify": ["sparsify", "-i", "@eight_peers", "-o", "@out"],
+    "fdc": ["fdc", "-i", "@fig1", "--pair", "S", "T", "--witness"],
+    "erdc": ["erdc", "-i", "@fig1", "--pair", "S", "T", "--witness"],
+    "pddc": ["pddc", "-i", "@fig1", "--pair", "S", "T", "--witness"],
+    "spddc": ["spddc", "-i", "@fig1", "--pair", "S", "T", "--witness"],
+    "fdc-all-pairs": ["fdc", "-i", "@fig1", "--all-pairs", "--witness"],
+    "validation-error": ["sparsify", "-i", "@fig1", "-o", "@out"],
+    "budget-error": ["erdc", "-i", "@fig1", "--pair", "S", "T", "--budget", "0"],
+}
+
+# (exit code, sha256 of [stdout, stderr, -o file text or None] as JSON) per
+# case and mode, recorded before report framing moved into cli.main.
+_REPORT_DIGESTS = {
+    ("validate", "text"):
+        (0, "146215a5adf95d6bd435d5d606f71e353abdd9dad32140084e0dd71aa67756cb"),
+    ("validate", "json"):
+        (0, "d98ebda6310ea7f73cc64f4cde51d0f6adba7db0718c52e1abef51e5d5d51c4a"),
+    ("check", "text"):
+        (0, "d9ebfd2265a8e87b26cd45d49e2ea12747f270af06cfe9da56778624c145f940"),
+    ("check", "json"):
+        (0, "3d31d00fe2f1011c0d6d4d44894df72b161b20a3731aa2d0923ce42a8aca2869"),
+    ("check-whole-fdc", "text"):
+        (0, "1d7e9eab53dc97cd1bf561159af2d92428fe2c6bee8c6da9c67c56a0936778cf"),
+    ("check-whole-fdc", "json"):
+        (0, "d36ad30cda322645f74c52ac9b84c21a06cabd5ed1be2169cd918056cdd29b2f"),
+    ("special-case", "text"):
+        (0, "f86f161635b6759afb72adc66a97db3a6eb6c80f415de17b7c7ad95bb1fa6a45"),
+    ("special-case", "json"):
+        (0, "bbfeae77edf77da99c6bd72311738b2da49546c7855894886e126c96d5e68a45"),
+    ("sparsify", "text"):
+        (0, "f5fd77d87e324010d8e68c2149a3aefac1c0a0502b7ac47e01302bf9bca3c575"),
+    ("sparsify", "json"):
+        (0, "69d0d2c31ca0033fe265fcf37f9fe1ce0c435f10096771fb2d32b7b40e3208aa"),
+    ("fdc", "text"):
+        (0, "f3f2311cd9852b424daa11a8e7fd735f2f24c49e0385e422d1cbd3f3a5a242f3"),
+    ("fdc", "json"):
+        (0, "84af745ceeaf06a069d67f63e126ab11a03d9586b2cb4ae6f13a03ce32ca315f"),
+    ("erdc", "text"):
+        (0, "eea0a8f21e102c39d3eb78e925e409e2b1d54a11d62b6c80be030f0da2939ec4"),
+    ("erdc", "json"):
+        (0, "b78b4b345eedbb3f80c4f3f5bd1159f8f5b46dcf5e293c9ec69cf93a26f51c44"),
+    ("pddc", "text"):
+        (0, "1033d3ec28fdcdc1650903fa5ac3216c7f51874ac1ddbe4c03bf02d872bfd084"),
+    ("pddc", "json"):
+        (0, "0f00faf12821612591f0346e4922e40a5d5866b905082f9af34a9a15e9221a0c"),
+    ("spddc", "text"):
+        (0, "adb08149d1495640f3da541e204076e453fae44157e82d8b372059dd745277d1"),
+    ("spddc", "json"):
+        (0, "c334e401e763a3d1822d081404f95b1288a69da9130ec291bf3be92a2fdb4b79"),
+    ("fdc-all-pairs", "text"):
+        (0, "765af9ca02907ed68453b6c84a184a46466fcac09dc1b3bffe33e7c13fb989f4"),
+    ("fdc-all-pairs", "json"):
+        (0, "4508070ff123f00964e6597a1d29e9f1b23154f288bb0f564c1541734005e804"),
+    ("validation-error", "text"):
+        (2, "1beeac5e4c87158dda1d1160bc6fb71e17ffc72179f3959f9cc67da9825eff9d"),
+    ("validation-error", "json"):
+        (2, "1beeac5e4c87158dda1d1160bc6fb71e17ffc72179f3959f9cc67da9825eff9d"),
+    ("budget-error", "text"):
+        (1, "5f8316b0912ece882fb759d937a635f9c59af73fcdc0493ec62276e0df6e054e"),
+    ("budget-error", "json"):
+        (1, "5f8316b0912ece882fb759d937a635f9c59af73fcdc0493ec62276e0df6e054e"),
+}
+
+
+def _report_argv(tmp_path, argv):
+    """argv with each "@name" replaced by the path of its written document."""
+    docs = {
+        "fig1": fixtures.fig1_text(),
+        "shared_edge": serialize_instance(fixtures.shared_edge()),
+        "triangle": serialize_instance(fixtures.triangle()),
+        "eight_peers": EIGHT_PEERS.read_text(),
+    }
+    for name, text in docs.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    return [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+
+
+@pytest.mark.parametrize(
+    "case, mode",
+    [(case, mode) for case in _REPORT_CASES for mode in ("text", "json")],
+    ids=lambda value: value,
+)
+def test_report_bytes_are_pinned(tmp_path, capsys, case, mode):
+    # Text mode's elapsed_s, a wall time, is masked before hashing.
+    argv = _report_argv(tmp_path, _REPORT_CASES[case])
+    code, out, err = run(capsys, *argv, *(["--json"] if mode == "json" else []))
+    out = re.sub(r"^elapsed_s: \S+$", "elapsed_s: *", out, flags=re.M)
+    out_path = tmp_path / "out.json"
+    written = out_path.read_text() if out_path.exists() else None
+    digest = hashlib.sha256(json.dumps([out, err, written]).encode()).hexdigest()
+    assert (code, digest) == _REPORT_DIGESTS[case, mode]
+
+
+def _registered_verbs(parser, prefix=""):
+    """Every verb the parser dispatches, a generator as "gen <name>"."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _registered_verbs(sub, f"{prefix}{name} ")
+            return
+    yield prefix.strip()
+
+
+def test_every_verb_is_pinned_and_framed(tmp_path, capsys):
+    # Each verb needs a pinned case that succeeds, and its --json report
+    # starts with its verb under "command" and ends with "status".
+    cases = [_report_argv(tmp_path, argv) for argv in _REPORT_CASES.values()]
+    cases += [["gen", *argv] for argv, _ in _GEN_DIGESTS]
+    framed = set()
+    for argv in cases:
+        code, out, _ = run(capsys, *argv, "--json")
+        if code == 0:
+            verb = " ".join(argv[:2]) if argv[0] == "gen" else argv[0]
+            report = json.loads(out)
+            keys = list(report)
+            assert (keys[0], report["command"], keys[-1]) == ("command", verb, "status")
+            framed.add(verb)
+    assert set(_registered_verbs(_build_parser())) <= framed
