@@ -2,7 +2,9 @@
 
 One verb per concept: validate, fdc, erdc, pddc, spddc, sparsify,
 special-case, gen, check.  Default output is human-readable text; --json
-emits a machine-readable report with stable field order.  Exit codes:
+emits a machine-readable report with stable field order.  Each handler
+returns its own fields and main frames them: "command" first, "status" last.
+Exit codes:
 0 success, 1 domain error (infeasible precondition, budget exceeded),
 2 usage or document parse/validation error, 141 stdout closed by its
 reader before the report was written.
@@ -41,13 +43,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        report = args.handler(args)
+        fields = args.handler(args)
     except DeepConnError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
         return exc.status
+    verb = f"gen {args.generator}" if args.command == "gen" else args.command
+    report = {"command": verb, **fields}
+    report.setdefault("status", "ok")
     try:
         if args.json:
-            print(json.dumps(report, indent=2))
+            print(json.dumps(report, indent=2, default=str))
         else:
             for line in _humanize(report):
                 print(line)
@@ -103,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
             f"compute the {name} parameter",
             parameter=True,
             budget=name != "fdc",
-        ).set_defaults(handler=_cmd_parameter, parameter=name)
+        ).set_defaults(handler=_cmd_parameter)
     for name, help_text, handler in (
         ("sparsify", "construct a sparse 2-survivable overlay", _cmd_sparsify),
         ("special-case", "identity-routing 2n-2 construction", _cmd_special_case),
@@ -185,37 +190,32 @@ def _write(path: str, text: str) -> None:
 def _cmd_validate(args):
     instance = _load(args)
     return {
-        "command": "validate",
         "nodes": len(instance.nodes),
         "edges": len(instance.edges),
         "peers": len(instance.peers),
         "overlay_edges": len(instance.overlay_edges),
         "routes": len(instance.routes),
         "total_routing": instance.total,
-        "status": "ok",
     }
 
 
 def _cmd_parameter(args):
     instance = _load(args)
-    name = args.parameter
+    name = args.command
     started = time.perf_counter()
     budget = getattr(args, "budget", None)
     kwargs = {} if budget is None else {"budget": budget}
     if args.pair:
         s, t = args.pair
         value, cert = oracles.pair_parameter(instance, name, s, t, **kwargs)
-        report = {"command": name, "pair": [s, t], "value": value}
+        report = {"pair": [s, t], "value": value}
     else:
         value, pair, cert = oracles.all_pairs(instance, name, **kwargs)
         report = {
-            "command": name,
             "all_pairs": True,
             "value": value,
             "argmin_pair": list(pair),
         }
-    if name == "fdc":
-        report["value"] = str(value)
     if args.witness:
         report["witness"] = _witness(cert)
     report["status"] = "ok"
@@ -228,11 +228,11 @@ def _witness(cert):
     if isinstance(cert, FlowResult):
         return {
             "primal": {
-                " ".join(path): str(flow)
+                " ".join(path): flow
                 for path, flow in sorted(cert.primal.items())
             },
             "dual": {
-                f"{u},{v}": str(w)
+                f"{u},{v}": w
                 for (u, v), w in sorted(cert.dual.items())
             },
         }
@@ -247,11 +247,9 @@ def _cmd_sparsify(args):
     result = sparsify_mod.sparsified_instance(instance, overlay)
     _emit_instance(args, result)
     return {
-        "command": "sparsify",
         "tree_edges": len(instance.peers) - 1,
         "overlay_edges": [list(e) for e in sorted(overlay)],
         "size": len(overlay),
-        "status": "ok",
     }
 
 
@@ -266,11 +264,9 @@ def _cmd_special_case(args):
     )
     _emit_instance(args, result)
     return {
-        "command": "special-case",
         "overlay_edges": [list(e) for e in sorted(overlay)],
         "size": len(overlay),
         "bound": 2 * len(instance.nodes) - 2,
-        "status": "ok",
     }
 
 
@@ -291,11 +287,11 @@ def _cmd_check(args):
                 "erdc": erdc,
                 "pddc": pddc,
                 "spddc": spddc,
-                "fdc": str(flow),
+                "fdc": flow,
                 "inequalities": "ok" if holds else "VIOLATED",
             }
         )
-    return {"command": "check", "pairs": rows, "status": "ok" if ok else "violated"}
+    return {"pairs": rows, "status": "ok" if ok else "violated"}
 
 
 def _parse_edge_list(text):
@@ -331,11 +327,9 @@ def _cmd_gen_set_system(args):
     )
     _emit_instance(args, out.instance, out.labels)
     return {
-        "command": "gen set-system",
         "nodes": len(out.instance.nodes),
         "edges": len(out.instance.edges),
         "labels": out.labels,
-        "status": "ok",
     }
 
 
@@ -344,12 +338,10 @@ def _cmd_gen_spddc(args):
     out, source, sink = gadgets.build_spddc_reduction(system, args.k)
     _emit_instance(args, out.instance, out.labels)
     return {
-        "command": "gen spddc-reduction",
         "source": source,
         "sink": sink,
         "nodes": len(out.instance.nodes),
         "edges": len(out.instance.edges),
-        "status": "ok",
     }
 
 
@@ -359,11 +351,9 @@ def _cmd_gen_hamiltonian(args):
     )
     _emit_instance(args, instance)
     return {
-        "command": "gen hamiltonian",
         "nodes": len(instance.nodes),
         "edges": len(instance.edges),
         "peers": len(instance.peers),
-        "status": "ok",
     }
 
 
@@ -373,12 +363,10 @@ def _cmd_gen_random(args):
     )
     _emit_instance(args, instance)
     return {
-        "command": "gen random",
         "seed": args.seed,
         "nodes": len(instance.nodes),
         "edges": len(instance.edges),
         "peers": len(instance.peers),
-        "status": "ok",
     }
 
 

@@ -739,7 +739,7 @@ def _mutate(doc, kind, rng, data):
         copied = copy.deepcopy(rng.choice(items))
         if isinstance(copied, list) and rng.random() < 0.5:
             copied.reverse()
-        elif isinstance(copied, dict) and rng.random() < 0.5:
+        elif items is routes and rng.random() < 0.5:
             copied["pair"].reverse()
         items.insert(rng.randint(0, len(items)), copied)
     elif kind == "self-loop":
