@@ -21,11 +21,7 @@ import time
 
 from . import gadgets, oracles
 from . import sparsifier as sparsify_mod
-from .errors import (
-    DeepConnError,
-    FormatError,
-    PreconditionError,
-)
+from .errors import DeepConnError, FormatError
 from .fdc import FlowResult
 from .model import (
     Instance,
@@ -255,9 +251,7 @@ def _cmd_sparsify(args):
 
 def _cmd_special_case(args):
     instance = _load(args)
-    if set(instance.peers) != set(instance.nodes):
-        raise PreconditionError("special case requires every node to be a peer")
-    overlay = sparsify_mod.special_case_construct(instance.nodes, instance.edges)
+    overlay = sparsify_mod.special_case_construct(instance)
     routes = {e: e for e in overlay}
     result = build_instance(
         instance.nodes, instance.edges, instance.peers, overlay, routes
@@ -301,7 +295,7 @@ def _parse_edge_list(text):
         if not token:
             continue
         parts = token.split("-")
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(parts):
             raise FormatError(f"bad edge token {token!r}; expected a-b")
         out.append((parts[0], parts[1]))
     return out

@@ -54,7 +54,7 @@ is zero too.  check_precondition runs the greedy from the star tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from heapq import heapify, heappop, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 
 from .errors import PreconditionError, ValidationError
 from .model import Edge, Instance, adjacency, connected, edge_key, peer_pairs
@@ -304,45 +304,39 @@ def sparsified_instance(instance: Instance, overlay: frozenset[Edge]) -> Instanc
     return replace(instance, overlay_edges=canon)
 
 
-def special_case_construct(nodes, edges) -> frozenset[Edge]:
+def special_case_construct(instance: Instance) -> frozenset[Edge]:
     """Identity-routing special case: spanning tree plus one cover edge per
     tree edge; at most 2n-2 overlay edges, survivable against any single
-    underlying edge failure.  Requires a 2-edge-connected graph.
+    underlying edge failure.  Requires every node to be a peer and a
+    2-edge-connected graph.
+
+    The tree is Prim's, grown from nodes[0] by the least canonical key
+    leaving it.  No two edges share a key, so the spanning tree of least
+    key order is unique, and Prim's walk and the sorted-order Kruskal both
+    find it; Prim's also sets each node's parent and depth as it enters.
     """
-    nodes = list(nodes)
-    edges = list(edges)
-    # Minimum-lexicographic Kruskal tree; each component's member list is
-    # shared by its members, and the smaller list merges into the larger.
-    comp = {x: [x] for x in nodes}
-    for u, v in edges:
-        if u not in comp or v not in comp:
-            raise ValidationError(f"edge ({u},{v}) references unknown node")
-    canon = sorted(edge_key(*e) for e in edges)
+    if set(instance.peers) != set(instance.nodes):
+        raise PreconditionError("special case requires every node to be a peer")
+    adj = adjacency(instance.nodes, instance.edges)
+    root = instance.nodes[0]
+    parent, depth = {root: None}, {root: 0}
     tree: list[Edge] = []
-    for u, v in canon:
-        small, large = comp[u], comp[v]
-        if small is large:
-            continue
-        if len(small) > len(large):
-            small, large = large, small
-        for x in small:
-            comp[x] = large
-        large.extend(small)
-        tree.append((u, v))
-    if len(tree) != len(comp) - 1:
-        raise ValidationError("underlying graph disconnected")
-    # Root the tree at nodes[0].  Each G-edge f, in sorted order, walks its
-    # tree path up to where the two sides meet and becomes the cover of every
-    # edge e != f on it that has none yet: the first edge crossing e's cut.
-    # A tree edge or its repeat covers nothing else; a loop has no path.
-    adj = adjacency(nodes, tree)
-    parent, depth = {}, {}
-    stack = [(nodes[0], None, 0)]
-    while stack:
-        u, parent[u], depth[u] = stack.pop()
-        stack.extend((v, u, depth[u] + 1) for v in adj[u] if v not in depth)
+    heap = [(edge_key(root, v), root, v) for v in adj[root]]
+    heapify(heap)
+    while heap:
+        e, u, v = heappop(heap)
+        if v not in depth:
+            parent[v], depth[v] = u, depth[u] + 1
+            tree.append(e)
+            for w in adj[v]:
+                if w not in depth:
+                    heappush(heap, (edge_key(v, w), v, w))
+    # Each G-edge f, in sorted order, walks its tree path up to where the
+    # two sides meet and becomes the cover of every edge e != f on it that
+    # has none yet: the first edge crossing e's cut.  A tree edge covers
+    # nothing else.
     cover: dict[Edge, Edge] = {}
-    for f in canon:
+    for f in sorted(instance.edges):
         u, v = f
         while u != v:
             if depth[u] < depth[v]:
@@ -351,7 +345,7 @@ def special_case_construct(nodes, edges) -> frozenset[Edge]:
             if e != f:
                 cover.setdefault(e, f)
             u = parent[u]
-    for e in tree:
+    for e in sorted(tree):
         if e not in cover:
             raise PreconditionError(
                 f"underlying graph has a bridge at ({e[0]},{e[1]})", e

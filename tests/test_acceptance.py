@@ -240,7 +240,7 @@ def test_criterion_7_special_case():
         ):  # bridge: not 2-edge-connected
             continue
         done += 1
-        overlay = special_case_construct(nodes, edges)
+        overlay = special_case_construct(fixtures.identity_instance(nodes, edges))
         if len(overlay) > 2 * n - 2:
             failures.append(f"{n} nodes: |H| = {len(overlay)} > {2 * n - 2}")
         inst = build_instance(

@@ -466,11 +466,17 @@ def test_gen_hamiltonian(tmp_path, capsys):
 
 
 def test_gen_hamiltonian_edge_tokens(capsys):
-    code, out, err = run(
-        capsys, "gen", "hamiltonian", "--nodes", "a,b,c", "--edges", "a-b-c"
-    )
-    assert code == 2 and out == ""
-    assert err == "error FORMAT: bad edge token 'a-b-c'; expected a-b\n"
+    # A token with a side missing is malformed, not an edge to an unknown
+    # node or outside the overlay.
+    for argv, token in [
+        (["hamiltonian", "--nodes", "a,b,c", "--edges", "a-b-c"], "a-b-c"),
+        (["hamiltonian", "--nodes", "a,b,c", "--edges", "a-"], "a-"),
+        (["hamiltonian", "--nodes", "a,b,c", "--edges", "a-b,-c"], "-c"),
+        ([*_SET_SYSTEM[1:], "--f", "x-", "--m", "1", "--sets", "1"], "x-"),
+    ]:
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error FORMAT: bad edge token {token!r}; expected a-b\n"
     code, out, _ = run(
         capsys, "gen", "hamiltonian", "--nodes", "a,b,c", "--edges", "a-b,,b-c", "--json"
     )
@@ -576,6 +582,27 @@ def test_reader_closing_stdout_early_gets_no_traceback(tmp_path):
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_module_entry_passes_on_exit_codes(fig1_path, tmp_path):
+    src = str(Path(deepconn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "deepconn.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    proc = module("validate", "-i", fig1_path, "--json")
+    assert proc.returncode == 0
+    assert next(iter(json.loads(proc.stdout))) == "command"
+    proc = module("validate", "-i", str(tmp_path / "missing.json"))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error FORMAT: ")
 
 
 def test_witness_reingest(fig1_path, capsys, tmp_path):
