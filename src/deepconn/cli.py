@@ -4,6 +4,8 @@ One verb per concept: validate, fdc, erdc, pddc, spddc, sparsify,
 special-case, gen, check.  Default output is human-readable text; --json
 emits a machine-readable report with stable field order.  Each handler
 returns its own fields and main frames them: "command" first, "status" last.
+Loading this module imports only errors, model and sparsifier; a verb
+imports oracles (with fdc and simplex) or gadgets the first time it runs.
 Exit codes:
 0 success, 1 domain error (infeasible precondition, budget exceeded),
 2 usage or document parse/validation error, 141 stdout closed by its
@@ -19,11 +21,10 @@ import os
 import sys
 import time
 
-from . import gadgets, oracles
 from . import sparsifier as sparsify_mod
 from .errors import DeepConnError, FormatError
-from .fdc import FlowResult
 from .model import (
+    ROUTE_POLICIES,
     Instance,
     build_instance,
     parse_instance,
@@ -60,6 +61,12 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     return 0
+
+
+@functools.cache
+def _lib(name: str):
+    """The library module deepconn.<name>, imported by the package on first use."""
+    return getattr(sys.modules[__package__], name)
 
 
 def _budget(text: str) -> int:
@@ -150,9 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--peers", type=int, required=True)
     p.add_argument("--edge-prob", type=float, default=0.5)
-    p.add_argument(
-        "--policy", choices=gadgets.ROUTE_POLICIES, default="shortest_path"
-    )
+    p.add_argument("--policy", choices=ROUTE_POLICIES, default="shortest_path")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_gen_random)
 
@@ -197,6 +202,7 @@ def _cmd_validate(args):
 
 def _cmd_parameter(args):
     instance = _load(args)
+    oracles = _lib("oracles")
     name = args.command
     started = time.perf_counter()
     budget = getattr(args, "budget", None)
@@ -221,7 +227,7 @@ def _cmd_parameter(args):
 
 
 def _witness(cert):
-    if isinstance(cert, FlowResult):
+    if isinstance(cert, _lib("fdc").FlowResult):
         return {
             "primal": {
                 " ".join(path): flow
@@ -232,7 +238,7 @@ def _witness(cert):
                 for (u, v), w in sorted(cert.dual.items())
             },
         }
-    if isinstance(cert, oracles.CutCertificate):
+    if isinstance(cert, _lib("oracles").CutCertificate):
         return {"cut": [list(e) for e in sorted(cert.edges)]}
     return {"paths": [list(p) for p in cert.paths]}
 
@@ -266,6 +272,7 @@ def _cmd_special_case(args):
 
 def _cmd_check(args):
     instance = _load(args)
+    oracles = _lib("oracles")
     rows = []
     ok = True
     for s, t in peer_pairs(instance):
@@ -312,6 +319,7 @@ def _parse_sets(text):
 
 
 def _cmd_gen_set_system(args):
+    gadgets = _lib("gadgets")
     system = gadgets.SetSystem.from_lists(args.m, _parse_sets(args.sets))
     out = gadgets.encode_set_system(
         args.h_nodes.split(","),
@@ -328,6 +336,7 @@ def _cmd_gen_set_system(args):
 
 
 def _cmd_gen_spddc(args):
+    gadgets = _lib("gadgets")
     system = gadgets.SetSystem.from_lists(args.m, _parse_sets(args.sets))
     out, source, sink = gadgets.build_spddc_reduction(system, args.k)
     _emit_instance(args, out.instance, out.labels)
@@ -340,6 +349,7 @@ def _cmd_gen_spddc(args):
 
 
 def _cmd_gen_hamiltonian(args):
+    gadgets = _lib("gadgets")
     instance = gadgets.build_hamiltonian_reduction(
         args.nodes.split(","), _parse_edge_list(args.edges)
     )
@@ -352,6 +362,7 @@ def _cmd_gen_hamiltonian(args):
 
 
 def _cmd_gen_random(args):
+    gadgets = _lib("gadgets")
     instance = gadgets.random_instance(
         args.nodes, args.peers, args.edge_prob, args.policy, args.seed
     )

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ValidationError
-from .model import Instance, adjacency, build_instance, connected, edge_key, shortest_path
+from .model import (
+    ROUTE_POLICIES, Instance, adjacency, build_instance, connected, edge_key, shortest_path,
+)
 
 APEX_X = "apex_x"
 APEX_Y = "apex_y"
@@ -186,7 +188,6 @@ def build_hamiltonian_reduction(g0_nodes, g0_edges) -> Instance:
 
 # -- random instances ------------------------------------------------------
 
-ROUTE_POLICIES = ("shortest_path", "random_simple")
 _GRAPH_ATTEMPTS = 1000
 
 

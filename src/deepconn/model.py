@@ -38,6 +38,9 @@ NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
 DEFAULT_PATH_CAP = 100_000
 
+# How a generated instance routes each peer pair (gadgets.random_instance).
+ROUTE_POLICIES = ("shortest_path", "random_simple")
+
 
 def edge_key(u: str, v: str) -> Edge:
     """Canonical unordered edge."""

@@ -605,6 +605,58 @@ def test_module_entry_passes_on_exit_codes(fig1_path, tmp_path):
     assert proc.stderr.startswith("error FORMAT: ")
 
 
+_FRESH_MAIN = """
+import contextlib, io, json, sys
+from deepconn.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(json.loads(sys.argv[1]))
+modules = sorted(m for m in sys.modules if m == "deepconn" or m.startswith("deepconn."))
+print(json.dumps([code, out.getvalue(), modules, "fractions" in sys.modules]))
+"""
+
+
+def _fresh_main(argv, **env):
+    """Exit code, stdout, loaded deepconn modules and whether fractions was
+    loaded, of main(argv) in a new interpreter."""
+    src = str(Path(deepconn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_MAIN, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src, **env),
+        timeout=60,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_each_verb_imports_only_what_it_runs(fig1_path, tmp_path):
+    triangle = tmp_path / "triangle.json"
+    triangle.write_text(serialize_instance(fixtures.triangle()))
+    base = ["cli", "errors", "model", "sparsifier"]
+    solvers = base + ["fdc", "oracles", "simplex"]
+    cases = [
+        (["validate", "-i", fig1_path], base, False),
+        (["sparsify", "-i", str(triangle)], base, False),
+        (["erdc", "-i", fig1_path, "--pair", "S", "T"], solvers, True),
+        (["fdc", "-i", fig1_path, "--pair", "S", "T"], solvers, True),
+        (["check", "-i", fig1_path], solvers, True),
+        (["gen", "random", "--nodes", "6", "--peers", "3"], base + ["gadgets"], False),
+    ]
+    for argv, modules, fractions in cases:
+        code, _, loaded, has_fractions = _fresh_main(argv)
+        expected = sorted(["deepconn", *(f"deepconn.{m}" for m in modules)])
+        assert (code, loaded, has_fractions) == (0, expected, fractions), argv
+
+
+def test_gen_random_help_needs_no_generators():
+    code, out, loaded, _ = _fresh_main(["gen", "random", "--help"], COLUMNS="80")
+    assert code == 0
+    assert "--policy {shortest_path,random_simple}" in out
+    assert "deepconn.gadgets" not in loaded
+
+
 def test_witness_reingest(fig1_path, capsys, tmp_path):
     # A cut emitted by the CLI must validate against the library certificate.
     from deepconn.oracles import CutCertificate

@@ -4,8 +4,6 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# The package's __init__.py imports its public API only to re-export it.
-EXEMPT = {ROOT / "src" / "deepconn" / "__init__.py"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,7 +32,6 @@ def test_no_unused_imports():
     found = [
         f"{path.relative_to(ROOT)} {hit}"
         for path in files
-        if path not in EXEMPT
         for hit in unused_imports(path.read_text())
     ]
     assert found == []
