@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import lex_shortest_path, parse_reference
+from brute_force import build_reference, lex_shortest_path, parse_reference
 from conftest import disconnected_overlay_instance, subsample_overlay
 from deepconn import fixtures, model
 from deepconn.errors import BudgetExceededError, DeepConnError, FormatError, ValidationError
@@ -731,7 +731,7 @@ def _name_slots(doc):
 def _mutate(doc, kind, rng, data):
     """Apply one fault of the given kind to a well-formed document."""
     nodes, peers, routes = doc["nodes"], doc["peers"], doc["routes"]
-    paths = [r["path"] for r in routes]
+    paths = [r["path"] for r in routes if r["path"]]  # an earlier fault may empty one
     if kind == "rename":
         names, i = rng.choice(_name_slots(doc))
         names[i] = data.draw(_BAD_NAMES) if rng.random() < 0.5 else rng.choice(nodes)
@@ -799,3 +799,70 @@ def test_parse_matches_reference_on_mutated_documents(data, rng, faults, structu
         doc = _replace_at(doc, path, lambda old: data.draw(_JSON_VALUES))
     text = json.dumps(doc)
     assert _outcome(parse_instance, text) == _outcome(parse_reference, text)
+
+
+# Names no JSON document carries (tuples), non-string scalars that make a
+# pair unorderable next to a string, an unknown string and unhashable names.
+_RAW_NAMES = [("a",), ("n0", "n1"), None, 0, 3, 1.5, True, False, "zz", ["n0"], {"n0": 1}]
+
+
+def _raw_fault(doc, kind, rng):
+    """Apply one fault that only raw Python components can carry."""
+    if kind == "raw-rename":
+        where = rng.choice(["edges", "overlay_edges", "peers", "pair", "path"])
+        if where == "peers":
+            names = doc["peers"]
+        elif items := doc["routes"] if where in ("pair", "path") else doc[where]:
+            names = rng.choice(items)[where] if where in ("pair", "path") else rng.choice(items)
+        else:
+            return
+        name = copy.deepcopy(rng.choice(_RAW_NAMES + doc["nodes"]))
+        if where == "pair" and isinstance(name, (list, dict)):
+            name = rng.choice([None, 0, ("a",)])  # a route pair is a dict key
+        names[rng.randrange(len(names))] = name
+    elif kind == "raw-duplicate" and (items := doc[rng.choice(_LISTS[1:])]):
+        copied = copy.deepcopy(rng.choice(items))
+        if isinstance(copied, list) and rng.random() < 0.5:
+            copied.reverse()
+        elif items is doc["routes"]:  # a dict holds one key per orientation
+            copied["pair"].reverse()
+        items.insert(rng.randint(0, len(items)), copied)
+    elif kind == "raw-self-loop":
+        key = rng.choice(["edges", "overlay_edges"])
+        x = rng.choice(_RAW_NAMES + doc["nodes"])
+        doc[key].insert(rng.randint(0, len(doc[key])), [x, copy.deepcopy(x)])
+
+
+_RAW_FAULTS = [
+    "raw-rename", "raw-duplicate", "raw-self-loop", "non-edge", "not-simple", "endpoints", "unrouted"
+]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    faults=st.lists(st.sampled_from(_RAW_FAULTS), min_size=1, max_size=3),
+)
+def test_build_matches_reference_on_raw_inputs(rng, faults):
+    """build_instance gives the reference's error class and message, or its
+    instance, on raw components with tuple, None, numeric, boolean, unknown
+    and unhashable names, unorderable pairs, duplicates in either
+    orientation and self-loops, in edges, overlay edges, peers, route pairs
+    and route paths, besides the faults a document can carry.
+    """
+    doc = copy.deepcopy(_FUZZ_DOCS[0]) if rng.random() < 0.3 else _random_doc(rng)
+    doc = _shuffled(doc, rng)
+    for kind in faults:
+        if kind.startswith("raw-"):
+            _raw_fault(doc, kind, rng)
+        else:
+            _mutate(doc, kind, rng, None)
+    components = (
+        doc["nodes"],
+        [tuple(e) for e in doc["edges"]],
+        doc["peers"],
+        [tuple(e) for e in doc["overlay_edges"]],
+        {tuple(r["pair"]): tuple(r["path"]) for r in doc["routes"]},
+    )
+    build = _outcome(lambda c: build_instance(*c), components)
+    assert build == _outcome(lambda c: build_reference(*c), components)
