@@ -243,9 +243,7 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
 
     ``routes`` is a mapping from unordered pair to node sequence; orientation
     is normalized here.  Raises ValidationError naming the first violated
-    invariant.  Each edge and overlay edge first takes one fast test (a new
-    key of two distinct known names); only an item that fails it runs the
-    checks that name its fault, in their reporting order.
+    invariant.
     """
     nodes = tuple(nodes)
     for name in nodes:
@@ -258,13 +256,15 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
     canon_edges = set()
     adj: dict[str, list[str]] = {u: [] for u in nodes}
     for u, v in edges:
-        try:  # an unhashable or unorderable name fails the test
-            key = (u, v) if u <= v else (v, u)
-            ok = u != v and u in node_set and v in node_set and key not in canon_edges
-        except TypeError:
-            ok = False
-        if not ok:
-            _reject_edge(u, v, node_set)
+        if u == v:
+            raise ValidationError(f"self-loop at {u}")
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise ValidationError(f"invalid node name in edge {[u, v]!r}")
+        if u not in node_set or v not in node_set:
+            raise ValidationError(f"edge ({u},{v}) references unknown node")
+        key = (u, v) if u <= v else (v, u)  # edge_key, inlined
+        if key in canon_edges:
+            raise ValidationError(f"duplicate edge {key}")
         canon_edges.add(key)
         adj[u].append(v)
         adj[v].append(u)
@@ -312,13 +312,17 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
 
     canon_overlay = set()
     for u, v in overlay_edges:
-        try:
-            key = (u, v) if u <= v else (v, u)
-            ok = u != v and key in canon_routes and key not in canon_overlay
-        except TypeError:
-            ok = False
-        if not ok:
-            _reject_overlay_edge(u, v, peer_set, canon_overlay)
+        if u == v:
+            raise ValidationError(f"overlay self-loop at {u}")
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise ValidationError(f"invalid node name in overlay edge {[u, v]!r}")
+        if u not in peer_set or v not in peer_set:
+            raise ValidationError(f"overlay edge ({u},{v}) endpoint is not a peer")
+        key = (u, v) if u <= v else (v, u)
+        if key in canon_overlay:
+            raise ValidationError(f"duplicate overlay edge {key}")
+        if key not in canon_routes:
+            raise ValidationError(f"overlay edge {key} has no route")
         canon_overlay.add(key)
 
     return Instance(
@@ -329,31 +333,6 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
         routes=MappingProxyType(canon_routes),
         supports=MappingProxyType(supports),
     )
-
-
-def _reject_edge(u, v, node_set) -> None:
-    """Raise the first fault of an edge that is not a new edge of known nodes."""
-    if u == v:
-        raise ValidationError(f"self-loop at {u}")
-    if not (isinstance(u, str) and isinstance(v, str)):
-        raise ValidationError(f"invalid node name in edge {[u, v]!r}")
-    if u not in node_set or v not in node_set:
-        raise ValidationError(f"edge ({u},{v}) references unknown node")
-    raise ValidationError(f"duplicate edge {edge_key(u, v)}")
-
-
-def _reject_overlay_edge(u, v, peer_set, seen) -> None:
-    """Raise the first fault of an overlay edge that is not a new routed pair."""
-    if u == v:
-        raise ValidationError(f"overlay self-loop at {u}")
-    if not (isinstance(u, str) and isinstance(v, str)):
-        raise ValidationError(f"invalid node name in overlay edge {[u, v]!r}")
-    if u not in peer_set or v not in peer_set:
-        raise ValidationError(f"overlay edge ({u},{v}) endpoint is not a peer")
-    key = edge_key(u, v)
-    if key in seen:
-        raise ValidationError(f"duplicate overlay edge {key}")
-    raise ValidationError(f"overlay edge {key} has no route")
 
 
 # -- document format -------------------------------------------------------
@@ -486,11 +465,14 @@ def _simply_implemented(instance: Instance, path: Path) -> bool:
 def _check_overlay_path(instance: Instance, path: Path) -> None:
     if len(path) < 2:
         raise ValidationError("overlay path needs at least two peers")
-    if len(set(path)) != len(path):
-        raise ValidationError("overlay path not vertex-simple")
-    for u, v in zip(path, path[1:]):
-        if edge_key(u, v) not in instance.overlay_edges:
-            raise ValidationError(f"({u},{v}) is not an overlay edge")
+    try:  # an unhashable or unorderable name fails a test with TypeError
+        if len(set(path)) != len(path):
+            raise ValidationError("overlay path not vertex-simple")
+        for u, v in zip(path, path[1:]):
+            if edge_key(u, v) not in instance.overlay_edges:
+                raise ValidationError(f"({u},{v}) is not an overlay edge")
+    except TypeError:
+        raise ValidationError(f"invalid node name in overlay path {path!r}") from None
 
 
 def enumerate_simple_paths(

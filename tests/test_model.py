@@ -6,6 +6,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,11 @@ from brute_force import build_reference, lex_shortest_path, parse_reference
 from conftest import disconnected_overlay_instance, subsample_overlay
 from deepconn import fixtures, model
 from deepconn.errors import BudgetExceededError, DeepConnError, FormatError, ValidationError
+from deepconn.fdc import FlowResult
 from deepconn.gadgets import ROUTE_POLICIES, random_instance
 from deepconn.model import (
     build_instance,
+    check_pair,
     edge_key,
     enumerate_simple_paths,
     is_simple_concatenation,
@@ -27,7 +30,7 @@ from deepconn.model import (
     serialize_instance,
     shortest_path,
 )
-from deepconn.oracles import _image_masks
+from deepconn.oracles import PathPacking, _image_masks
 
 
 def test_fig1_counts(fig1):
@@ -264,6 +267,27 @@ def test_route_image_fig1(fig1):
 def test_route_image_rejects_a_non_overlay_path(fig1, path, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         route_image(fig1, path)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda inst, path: check_pair(inst, "S", "T", [path]),
+        lambda inst, path: PathPacking([path]).validate(inst, "S", "T"),
+        lambda inst, path: FlowResult(Fraction(0), {}, {}, [path]).validate(inst, "S", "T"),
+        route_image,
+        is_simple_concatenation,
+    ],
+    ids=["check_pair", "PathPacking", "FlowResult", "route_image", "is_simple_concatenation"],
+)
+@pytest.mark.parametrize("name", [["x"], 1, None, ("U1",)], ids=["list", "int", "None", "tuple"])
+def test_certificate_path_with_an_invalid_name_is_rejected(fig1, check, name):
+    """An unhashable or unorderable name in a certificate's path is a
+    ValidationError that names the path, not a TypeError."""
+    path = ("S", name, "T")
+    message = f"invalid node name in overlay path {path!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        check(fig1, path)
 
 
 def test_route_image_single_edge(k2):
