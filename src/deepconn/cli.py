@@ -5,7 +5,8 @@ special-case, gen, check.  Default output is human-readable text; --json
 emits a machine-readable report with stable field order.  Each handler
 returns its own fields and main frames them: "command" first, "status" last.
 Loading this module imports only errors, model and sparsifier; a verb
-imports oracles (with fdc and simplex) or gadgets the first time it runs.
+imports oracles or gadgets the first time it runs, and fdc and simplex
+load with the first LP that fdc or check solves.
 Exit codes:
 0 success, 1 domain error (infeasible precondition, budget exceeded),
 2 usage or document parse/validation error, 141 stdout closed by its
@@ -227,20 +228,22 @@ def _cmd_parameter(args):
 
 
 def _witness(cert):
-    if isinstance(cert, _lib("fdc").FlowResult):
-        return {
-            "primal": {
-                " ".join(path): flow
-                for path, flow in sorted(cert.primal.items())
-            },
-            "dual": {
-                f"{u},{v}": w
-                for (u, v), w in sorted(cert.dual.items())
-            },
-        }
+    """The report of a certificate; one that is neither a cut nor a packing
+    is FDC's FlowResult, whose class is left unloaded."""
     if isinstance(cert, _lib("oracles").CutCertificate):
         return {"cut": [list(e) for e in sorted(cert.edges)]}
-    return {"paths": [list(p) for p in cert.paths]}
+    if isinstance(cert, _lib("oracles").PathPacking):
+        return {"paths": [list(p) for p in cert.paths]}
+    return {
+        "primal": {
+            " ".join(path): flow
+            for path, flow in sorted(cert.primal.items())
+        },
+        "dual": {
+            f"{u},{v}": w
+            for (u, v), w in sorted(cert.dual.items())
+        },
+    }
 
 
 def _cmd_sparsify(args):

@@ -23,7 +23,6 @@ import json
 import re
 from collections import Counter, deque
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
@@ -47,22 +46,50 @@ def edge_key(u: str, v: str) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
 class Instance:
-    """A validated (G, P, rho, H) bundle.
+    """A validated (G, P, rho, H) bundle of six fields: the tuple ``nodes``,
+    the frozenset ``edges`` of canonical G-edges, the tuple ``peers``, the
+    frozenset ``overlay_edges`` of canonical overlay edges, ``routes`` and
+    ``supports``.
 
     ``routes`` is a read-only map from the canonical unordered pair to the
     route path, oriented so that it starts at the smaller endpoint, and
     ``supports`` a read-only map from the same pairs to the canonical G-edges
     of their routes.
+
+    An instance is an immutable value: equal to an instance with equal
+    fields, unhashable, shown by its fields, and copied with changed fields
+    by ``replace``.  It is a plain class, so loading it needs no
+    ``dataclasses``; its fields and its cached indexes live in its
+    ``__dict__``.
     """
 
-    nodes: tuple[str, ...]
-    edges: frozenset[Edge]
-    peers: tuple[str, ...]
-    overlay_edges: frozenset[Edge]
-    routes: Mapping[Edge, Path]
-    supports: Mapping[Edge, frozenset[Edge]]
+    _FIELDS = ("nodes", "edges", "peers", "overlay_edges", "routes", "supports")
+
+    def __init__(self, nodes, edges, peers, overlay_edges, routes, supports):
+        fields = nodes, edges, peers, overlay_edges, routes, supports
+        vars(self).update(zip(self._FIELDS, fields))
+
+    def _fields(self) -> dict:
+        return {f: vars(self)[f] for f in self._FIELDS}
+
+    def __eq__(self, other):  # defining __eq__ alone sets __hash__ to None
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __repr__(self) -> str:
+        return "Instance(" + ", ".join(f"{f}={v!r}" for f, v in self._fields().items()) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes) -> Instance:
+        """A new instance with the named fields changed; it builds its own
+        indexes."""
+        return Instance(**{**self._fields(), **changes})
 
     # -- indexes, built once on first use -----------------------------------
 
@@ -287,9 +314,11 @@ def build_instance(nodes, edges, peers, overlay_edges, routes) -> Instance:
     keys.update((e, e) for e in canon_edges)
     canon_routes: dict[Edge, Path] = {}
     supports: dict[Edge, frozenset[Edge]] = {}
-    for pair, path in routes.items():
-        u, v = pair
-        key = (u, v) if u <= v else (v, u)
+    for (u, v), path in routes.items():
+        try:
+            key = (u, v) if u <= v else (v, u)
+        except TypeError:
+            raise ValidationError(f"invalid node name in route pair {[u, v]!r}") from None
         if len(path) < 2:
             raise ValidationError(f"route for {key} shorter than one edge")
         simple = len(_name_set(path)) == len(path)

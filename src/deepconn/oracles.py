@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from itertools import combinations, count
 
 from .errors import BudgetExceededError, ValidationError
-from .fdc import fdc_pair
 from .model import (
     Edge,
     Instance,
@@ -35,8 +34,10 @@ class CutCertificate:
 
     def validate(self, instance: Instance, s: str, t: str) -> None:
         check_pair(instance, s, t)
-        # A key that is no G-edge, or a reversed one, fails nothing.
-        failed = sum(instance.edge_bits.get(e, 0) for e in self.edges)
+        try:  # a key that is no G-edge, or a reversed one, fails nothing
+            failed = sum({instance.edge_bits.get(e, 0) for e in self.edges})
+        except TypeError:  # an unhashable edge, such as a JSON array
+            raise ValidationError(f"invalid edge in cut certificate {self.edges!r}") from None
         if _survivor(instance, failed, s, t) is not None:
             raise ValidationError("cut certificate does not disconnect the pair")
 
@@ -256,8 +257,17 @@ def spddc_pair(
     return _packing(instance, s, t, True, budget)
 
 
+def _fdc_pair(instance: Instance, s: str, t: str):
+    """``fdc.fdc_pair``, read from its module at each call: ``fdc`` and its
+    LP load only when an LP is solved, and a patched ``fdc_pair`` sees
+    every call."""
+    from . import fdc
+
+    return fdc.fdc_pair(instance, s, t)
+
+
 _PAIR_OPS = {
-    "fdc": fdc_pair,
+    "fdc": _fdc_pair,
     "erdc": erdc_pair,
     "pddc": pddc_pair,
     "spddc": spddc_pair,

@@ -53,29 +53,28 @@ is zero too.  check_precondition runs the greedy from the star tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush, heapreplace
 
 from .errors import PreconditionError, ValidationError
 from .model import Edge, Instance, adjacency, connected, edge_key, peer_pairs
 
 
-@dataclass
 class AugmentationState:
     """Mutable greedy state: per-pair separation masks over the tracked edges.
 
-    Partition i groups the peers by the overlay edges whose routes avoid
-    ``tracked[i]``; ``components[i]`` maps each peer to the member list of
-    its component there.  Bit i of ``sep[p]`` is set when the peer pair p
-    joins two components of partition i, that is, when its endpoints are
-    in different components and ``tracked[i]`` is not on p's route.
+    ``overlay`` is the set of overlay edges added so far and ``tracked`` the
+    tuple of tracked G-edges.  Partition i groups the peers by the overlay
+    edges whose routes avoid ``tracked[i]``; ``components[i]`` maps each
+    peer to the member list of its component there, and ``kappa_i[i]`` is
+    its number of components minus one.  Bit i of the int ``sep[p]`` is set
+    when the peer pair p joins two components of partition i, that is, when
+    its endpoints are in different components and ``tracked[i]`` is not on
+    p's route.  A plain mutable record, with no ``==`` of its own.
     """
 
-    overlay: set[Edge]
-    tracked: tuple[Edge, ...]
-    sep: dict[Edge, int]
-    components: list[dict[str, list[str]]]
-    kappa_i: list[int]
+    def __init__(self, overlay, tracked, sep, components, kappa_i):
+        self.overlay, self.tracked, self.sep = overlay, tracked, sep
+        self.components, self.kappa_i = components, kappa_i
 
     @property
     def kappa(self) -> int:
@@ -301,7 +300,7 @@ def sparsified_instance(instance: Instance, overlay: frozenset[Edge]) -> Instanc
     unrouted = [e for e in canon if e not in instance.routes]
     if unrouted:
         raise ValidationError(f"overlay edge {min(unrouted)} has no route")
-    return replace(instance, overlay_edges=canon)
+    return instance.replace(overlay_edges=canon)
 
 
 def special_case_construct(instance: Instance) -> frozenset[Edge]:

@@ -374,7 +374,10 @@ def build_reference(nodes, edges, peers, overlay_edges, routes) -> Instance:
     supports: dict[Edge, frozenset[Edge]] = {}
     for pair, path in routes.items():
         u, v = pair
-        key = edge_key(u, v)
+        try:
+            key = edge_key(u, v)
+        except TypeError:
+            raise ValidationError(f"invalid node name in route pair {[u, v]!r}") from None
         path = tuple(path)
         if len(path) < 2:
             raise ValidationError(f"route for {key} shorter than one edge")

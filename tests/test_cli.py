@@ -612,13 +612,14 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(json.loads(sys.argv[1]))
 modules = sorted(m for m in sys.modules if m == "deepconn" or m.startswith("deepconn."))
-print(json.dumps([code, out.getvalue(), modules, "fractions" in sys.modules]))
+stdlib = [m for m in ("dataclasses", "fractions") if m in sys.modules]
+print(json.dumps([code, out.getvalue(), modules, stdlib]))
 """
 
 
 def _fresh_main(argv, **env):
-    """Exit code, stdout, loaded deepconn modules and whether fractions was
-    loaded, of main(argv) in a new interpreter."""
+    """Exit code, stdout, loaded deepconn modules and which of dataclasses
+    and fractions were loaded, of main(argv) in a new interpreter."""
     src = str(Path(deepconn.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH_MAIN, json.dumps(argv)],
@@ -635,19 +636,22 @@ def test_each_verb_imports_only_what_it_runs(fig1_path, tmp_path):
     triangle = tmp_path / "triangle.json"
     triangle.write_text(serialize_instance(fixtures.triangle()))
     base = ["cli", "errors", "model", "sparsifier"]
-    solvers = base + ["fdc", "oracles", "simplex"]
+    cuts = base + ["oracles"]
+    solvers = cuts + ["fdc", "simplex"]
+    both = ["dataclasses", "fractions"]
     cases = [
-        (["validate", "-i", fig1_path], base, False),
-        (["sparsify", "-i", str(triangle)], base, False),
-        (["erdc", "-i", fig1_path, "--pair", "S", "T"], solvers, True),
-        (["fdc", "-i", fig1_path, "--pair", "S", "T"], solvers, True),
-        (["check", "-i", fig1_path], solvers, True),
-        (["gen", "random", "--nodes", "6", "--peers", "3"], base + ["gadgets"], False),
+        (["validate", "-i", fig1_path], base, []),
+        (["sparsify", "-i", str(triangle)], base, []),
+        (["erdc", "-i", fig1_path, "--pair", "S", "T"], cuts, ["dataclasses"]),
+        (["pddc", "-i", fig1_path, "--pair", "S", "T", "--witness"], cuts, ["dataclasses"]),
+        (["fdc", "-i", fig1_path, "--pair", "S", "T"], solvers, both),
+        (["check", "-i", fig1_path], solvers, both),
+        (["gen", "random", "--nodes", "6", "--peers", "3"], base + ["gadgets"], ["dataclasses"]),
     ]
-    for argv, modules, fractions in cases:
-        code, _, loaded, has_fractions = _fresh_main(argv)
+    for argv, modules, stdlib in cases:
+        code, _, loaded, loaded_stdlib = _fresh_main(argv)
         expected = sorted(["deepconn", *(f"deepconn.{m}" for m in modules)])
-        assert (code, loaded, has_fractions) == (0, expected, fractions), argv
+        assert (code, loaded, loaded_stdlib) == (0, expected, stdlib), argv
 
 
 def test_gen_random_help_needs_no_generators():

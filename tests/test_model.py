@@ -5,7 +5,6 @@ import random
 import re
 import string
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -47,7 +46,38 @@ def test_total_follows_the_routes(triangle):
     assert triangle.total
     routes = dict(triangle.routes)
     del routes[("b", "c")]
-    assert not replace(triangle, routes=routes).total
+    assert not triangle.replace(routes=routes).total
+
+
+def test_instance_is_an_immutable_value(fig1, triangle):
+    """Instance keeps a frozen dataclass's value semantics over its six
+    fields without being one: equality, repr, replace, no assignment and
+    no hash."""
+    fields = ("nodes", "edges", "peers", "overlay_edges", "routes", "supports")
+    again = parse_instance(serialize_instance(fig1))
+    assert again == fig1 and again is not fig1
+    assert fig1 != object() and fig1 != tuple(getattr(fig1, f) for f in fields)
+    for f in fields:
+        assert fig1.replace(**{f: getattr(triangle, f)}) != fig1, f
+    assert repr(fig1).startswith("Instance(nodes=(")
+    assert repr(fig1).endswith(f", supports={fig1.supports!r})")
+    assert fig1.kill_sets
+    bare = fig1.replace(overlay_edges=frozenset())
+    assert bare.overlay_edges == frozenset() and not bare.kill_sets
+    assert [getattr(bare, f) for f in fields if f != "overlay_edges"] == [
+        getattr(fig1, f) for f in fields if f != "overlay_edges"
+    ]
+    assert fig1.overlay_edges and fig1 == again
+    with pytest.raises(TypeError):
+        fig1.replace(overlay=frozenset())
+    for f in (*fields, "total", "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{f}'"):
+            setattr(fig1, f, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{f}'"):
+            delattr(fig1, f)
+    assert fig1 == again
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(fig1)
 
 
 def test_cut_candidates_are_the_first_edge_of_each_kill_set(fig1):
@@ -823,6 +853,18 @@ def test_parse_matches_reference_on_mutated_documents(data, rng, faults, structu
         doc = _replace_at(doc, path, lambda old: data.draw(_JSON_VALUES))
     text = json.dumps(doc)
     assert _outcome(parse_instance, text) == _outcome(parse_reference, text)
+
+
+@pytest.mark.parametrize("pair", [("S", 1), (1, "S"), (None, "T"), (("a",), "U1")])
+def test_build_rejects_an_unorderable_route_pair(fig1, pair):
+    """A raw route pair whose names do not compare is a ValidationError
+    there, in build_instance as in the reference, not a TypeError."""
+    routes = {pair: ("S", "U1"), **fig1.routes}
+    components = (fig1.nodes, fig1.edges, fig1.peers, fig1.overlay_edges, routes)
+    message = f"invalid node name in route pair {list(pair)!r}"
+    for build in (build_instance, build_reference):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(*components)
 
 
 # Names no JSON document carries (tuples), non-string scalars that make a

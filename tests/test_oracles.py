@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -82,6 +83,26 @@ def test_cut_certificate_counts_only_routed_g_edges(fig1):
 def test_cut_certificate_with_odd_edges_is_rejected(fig1, edges):
     with pytest.raises(ValidationError, match="does not disconnect the pair"):
         CutCertificate(frozenset(edges)).validate(fig1, "S", "T")
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[["S", "U1"]], [("D1", "D2"), ["M1", "M2"]], [("D1", ["D2"])]],
+    ids=["list", "one-list", "list-name"],
+)
+def test_cut_certificate_with_an_unhashable_edge_is_rejected(fig1, edges):
+    """A cut edge that cannot be a G-edge key, such as the JSON array of a
+    --witness report, is a ValidationError, not a TypeError."""
+    message = f"invalid edge in cut certificate {edges!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        CutCertificate(edges).validate(fig1, "S", "T")
+
+
+def test_cut_certificate_counts_a_repeated_edge_once(fig1):
+    # An edge listed twice fails that edge, not the G-edge of the next bit.
+    CutCertificate([("M1", "M2"), ("M1", "M2"), ("D1", "D2")]).validate(fig1, "S", "T")
+    with pytest.raises(ValidationError, match="does not disconnect the pair"):
+        CutCertificate([("D3", "M3"), ("D3", "M3"), ("M1", "M2")]).validate(fig1, "S", "T")
 
 
 def test_path_packing_certifies_only_its_own_pair(fig1):
