@@ -26,7 +26,7 @@ _HOMES = {
         "is_simple_concatenation", "parse_instance", "route_image", "serialize_instance",
     ),
     "oracles": (
-        "CutCertificate", "PathPacking", "all_pairs", "erdc_pair", "pair_parameter",
+        "all_pairs", "check_cut", "check_packing", "erdc_pair", "pair_parameter",
         "pddc_pair", "spddc_pair",
     ),
     "simplex": (),

@@ -59,7 +59,9 @@ def main(argv=None) -> int:
         # The reader closed stdout early.  Point stdout at the null device so
         # the exit-time flush of what is still buffered cannot fail again,
         # and exit as a writer killed by SIGPIPE would: 128 + 13.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     return 0
 
@@ -220,30 +222,30 @@ def _cmd_parameter(args):
             "argmin_pair": list(pair),
         }
     if args.witness:
-        report["witness"] = _witness(cert)
+        report["witness"] = _witness(name, cert)
     report["status"] = "ok"
     if not args.json:
         report["elapsed_s"] = round(time.perf_counter() - started, 3)
     return report
 
 
-def _witness(cert):
-    """The report of a certificate; one that is neither a cut nor a packing
-    is FDC's FlowResult, whose class is left unloaded."""
-    if isinstance(cert, _lib("oracles").CutCertificate):
-        return {"cut": [list(e) for e in sorted(cert.edges)]}
-    if isinstance(cert, _lib("oracles").PathPacking):
-        return {"paths": [list(p) for p in cert.paths]}
-    return {
-        "primal": {
-            " ".join(path): flow
-            for path, flow in sorted(cert.primal.items())
-        },
-        "dual": {
-            f"{u},{v}": w
-            for (u, v), w in sorted(cert.dual.items())
-        },
-    }
+def _witness(name, cert):
+    """The report of verb ``name``'s certificate: ERDC's cut, FDC's
+    FlowResult, or the packing's paths of PDDC and SPDDC."""
+    if name == "erdc":
+        return {"cut": [list(e) for e in sorted(cert)]}
+    if name == "fdc":
+        return {
+            "primal": {
+                " ".join(path): flow
+                for path, flow in sorted(cert.primal.items())
+            },
+            "dual": {
+                f"{u},{v}": w
+                for (u, v), w in sorted(cert.dual.items())
+            },
+        }
+    return {"paths": [list(p) for p in cert]}
 
 
 def _cmd_sparsify(args):

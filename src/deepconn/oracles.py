@@ -7,7 +7,6 @@ Budgets are hard guards: the searches fail loudly instead of approximating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, count
 
 from .errors import BudgetExceededError, ValidationError
@@ -26,39 +25,32 @@ DEFAULT_CUT_BUDGET = 1 << 20
 DEFAULT_PACKING_BUDGET = 1_000_000
 
 
-@dataclass
-class CutCertificate:
-    """A set of G-edges whose removal disconnects s from t in the overlay."""
-
-    edges: frozenset[Edge]
-
-    def validate(self, instance: Instance, s: str, t: str) -> None:
-        check_pair(instance, s, t)
-        try:  # a key that is no G-edge, or a reversed one, fails nothing
-            failed = sum({instance.edge_bits.get(e, 0) for e in self.edges})
-        except TypeError:  # an unhashable edge, such as a JSON array
-            raise ValidationError(f"invalid edge in cut certificate {self.edges!r}") from None
-        if _survivor(instance, failed, s, t) is not None:
-            raise ValidationError("cut certificate does not disconnect the pair")
+def check_cut(instance: Instance, s: str, t: str, edges) -> None:
+    """Check that failing the G-edges ``edges`` disconnects s from t in
+    the overlay; raise ValidationError if not."""
+    check_pair(instance, s, t)
+    try:  # a key that is no G-edge, or a reversed one, fails nothing
+        failed = sum({instance.edge_bits.get(e, 0) for e in edges})
+    except TypeError:  # an unhashable edge, such as a JSON array
+        raise ValidationError(f"invalid edge in cut certificate {edges!r}") from None
+    if _survivor(instance, failed, s, t) is not None:
+        raise ValidationError("cut certificate does not disconnect the pair")
 
 
-@dataclass
-class PathPacking:
-    """Overlay (s,t)-paths with pairwise disjoint image supports."""
-
-    paths: list[Path]
-
-    def validate(
-        self, instance: Instance, s: str, t: str, simple_only: bool = False
-    ) -> None:
-        check_pair(instance, s, t, self.paths)
-        used = 0
-        for p, image in zip(self.paths, _image_masks(instance, self.paths)):
-            if used & image:
-                raise ValidationError("packing images intersect")
-            if simple_only and not _simply_implemented(instance, p):
-                raise ValidationError("packing path is not simply implemented")
-            used |= image
+def check_packing(
+    instance: Instance, s: str, t: str, paths: list[Path], simple_only: bool = False
+) -> None:
+    """Check that ``paths`` are overlay (s,t)-paths with pairwise disjoint
+    image supports, each simply implemented with ``simple_only``; raise
+    ValidationError if not."""
+    check_pair(instance, s, t, paths)
+    used = 0
+    for p, image in zip(paths, _image_masks(instance, paths)):
+        if used & image:
+            raise ValidationError("packing images intersect")
+        if simple_only and not _simply_implemented(instance, p):
+            raise ValidationError("packing path is not simply implemented")
+        used |= image
 
 
 def _survivor(instance: Instance, failed: int, s: str, t: str) -> Path | None:
@@ -97,8 +89,9 @@ def seed_packing(instance: Instance, s: str, t: str) -> list[Path]:
 
 def erdc_pair(
     instance: Instance, s: str, t: str, budget: int = DEFAULT_CUT_BUDGET
-) -> tuple[int, CutCertificate]:
-    """Minimum number of G-edges whose removal disconnects s from t in H.
+) -> tuple[int, frozenset[Edge]]:
+    """Minimum number of G-edges whose removal disconnects s from t in H,
+    with those G-edges, the cut that ``check_cut`` checks.
 
     The candidates are ``instance.cut_candidates``, one G-edge per distinct
     kill set (the overlay edges routed through it), and subsets of them are
@@ -136,7 +129,7 @@ def erdc_pair(
         learn(path)
     lower = len(seed)
     if lower == 0:
-        return 0, CutCertificate(frozenset())
+        return 0, frozenset()
 
     explored = 0
     for size in range(lower, len(candidates) + 1):
@@ -153,7 +146,7 @@ def erdc_pair(
                 continue
             path = _survivor(instance, sum(bits[c] for c in subset), s, t)
             if path is None:
-                return size, CutCertificate(frozenset(candidates[c] for c in subset))
+                return size, frozenset(candidates[c] for c in subset)
             learn(path)
     raise AssertionError("removing every routed edge must disconnect the pair")
 
@@ -207,7 +200,7 @@ def _max_packing(
 
 def _packing(
     instance: Instance, s: str, t: str, walk_simple: bool, budget: int
-) -> tuple[int, PathPacking]:
+) -> tuple[int, list[Path]]:
     """Maximum packing of overlay (s,t)-paths with pairwise disjoint images,
     among the paths ``enumerate_simple_paths`` lists with ``walk_simple``.
 
@@ -221,7 +214,7 @@ def _packing(
         sum(bit for e, bit in instance.edge_bits.items() if t in e),
         budget,
     )
-    return len(chosen), PathPacking([paths[i] for i in chosen])
+    return len(chosen), [paths[i] for i in chosen]
 
 
 def _image_masks(instance: Instance, paths: list[Path]) -> list[int]:
@@ -242,8 +235,9 @@ def pddc_pair(
     s: str,
     t: str,
     budget: int = DEFAULT_PACKING_BUDGET,
-) -> tuple[int, PathPacking]:
-    """Maximum number of overlay (s,t)-paths with pairwise disjoint images."""
+) -> tuple[int, list[Path]]:
+    """Maximum number of overlay (s,t)-paths with pairwise disjoint images,
+    with those paths, the packing that ``check_packing`` checks."""
     return _packing(instance, s, t, False, budget)
 
 
@@ -252,18 +246,19 @@ def spddc_pair(
     s: str,
     t: str,
     budget: int = DEFAULT_PACKING_BUDGET,
-) -> tuple[int, PathPacking]:
+) -> tuple[int, list[Path]]:
     """As pddc_pair, restricted to paths whose concatenated walk is simple."""
     return _packing(instance, s, t, True, budget)
 
 
 def _fdc_pair(instance: Instance, s: str, t: str):
-    """``fdc.fdc_pair``, read from its module at each call: ``fdc`` and its
-    LP load only when an LP is solved, and a patched ``fdc_pair`` sees
-    every call."""
+    """(value, FlowResult) of ``fdc.fdc_pair``, read from its module at each
+    call: ``fdc`` and its LP load only when an LP is solved, and a patched
+    ``fdc_pair`` sees every call."""
     from . import fdc
 
-    return fdc.fdc_pair(instance, s, t)
+    result = fdc.fdc_pair(instance, s, t)
+    return result.value, result
 
 
 _PAIR_OPS = {
@@ -275,12 +270,10 @@ _PAIR_OPS = {
 
 
 def pair_parameter(instance: Instance, which: str, s: str, t: str, **kwargs):
-    """(value, certificate) of one parameter for one pair.
-
-    The certificate of "fdc" is its FlowResult.
-    """
-    result = _PAIR_OPS[which](instance, s, t, **kwargs)
-    return (result.value, result) if which == "fdc" else result
+    """(value, certificate) of one parameter for one pair: the cut's
+    G-edges for "erdc", the packing's paths for "pddc" and "spddc", the
+    FlowResult for "fdc"."""
+    return _PAIR_OPS[which](instance, s, t, **kwargs)
 
 
 def all_pairs(instance: Instance, which: str, **kwargs):

@@ -16,7 +16,7 @@ from deepconn.gadgets import (
     random_instance,
 )
 from deepconn.model import build_instance, edge_key
-from deepconn.oracles import all_pairs, spddc_pair
+from deepconn.oracles import all_pairs, check_packing, spddc_pair
 
 
 def lemma_example():
@@ -126,11 +126,11 @@ def test_spddc_reduction(sets, k, expected):
     m = max(max(s) for s in sets if s)
     system = SetSystem.from_lists(m, sets)
     out, s, t = build_spddc_reduction(system, k)
-    value, witness = spddc_pair(out.instance, s, t)
+    value, paths = spddc_pair(out.instance, s, t)
     assert (value >= 1) == expected
     assert set_packing_brute_force(system, k) == expected
     if value:
-        witness.validate(out.instance, s, t, simple_only=True)
+        check_packing(out.instance, s, t, paths, simple_only=True)
 
 
 def test_spddc_reduction_k1_always_packs():

@@ -29,7 +29,7 @@ from deepconn.model import (
     serialize_instance,
     shortest_path,
 )
-from deepconn.oracles import PathPacking, _image_masks
+from deepconn.oracles import _image_masks, check_packing
 
 
 def test_fig1_counts(fig1):
@@ -303,12 +303,12 @@ def test_route_image_rejects_a_non_overlay_path(fig1, path, message):
     "check",
     [
         lambda inst, path: check_pair(inst, "S", "T", [path]),
-        lambda inst, path: PathPacking([path]).validate(inst, "S", "T"),
+        lambda inst, path: check_packing(inst, "S", "T", [path]),
         lambda inst, path: FlowResult(Fraction(0), {}, {}, [path]).validate(inst, "S", "T"),
         route_image,
         is_simple_concatenation,
     ],
-    ids=["check_pair", "PathPacking", "FlowResult", "route_image", "is_simple_concatenation"],
+    ids=["check_pair", "check_packing", "FlowResult", "route_image", "is_simple_concatenation"],
 )
 @pytest.mark.parametrize("name", [["x"], 1, None, ("U1",)], ids=["list", "int", "None", "tuple"])
 def test_certificate_path_with_an_invalid_name_is_rejected(fig1, check, name):
